@@ -99,7 +99,7 @@ recover-smoke:
 	sh scripts/recover_smoke.sh
 
 # The fencing self-test sweep stops at its first catch (seed 2 hits at
-# schedule 7); the 50-schedule bound is headroom, not the usual cost.
+# schedule 23); the 50-schedule bound is headroom, not the usual cost.
 FENCING_SEED = 2
 FENCING_SCHEDULES = 50
 

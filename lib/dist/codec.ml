@@ -32,6 +32,7 @@ type msg =
 (* The bare liveness beat — what pre-observability workers send, and
    what everything that only cares about liveness should construct. *)
 let heartbeat = Heartbeat { snapshot = None; spans = None }
+let campaign_complete = "campaign complete"
 
 (* One tag byte per message kind. 'R' vs 'r': results are the hot
    frame, requests the idle one. *)

@@ -67,6 +67,10 @@ val heartbeat : msg
 (** The bare liveness beat: [Heartbeat] with neither snapshot nor
     spans — encodes byte-identically to the legacy frame. *)
 
+val campaign_complete : string
+(** The [Bye] reason of a finished campaign — the one [Bye] a worker
+    may receive in place of a [Welcome] without having been rejected. *)
+
 val to_frame : msg -> Wire.frame
 val of_frame : Wire.frame -> (msg, string) result
 

@@ -449,7 +449,7 @@ let handle_msg t c msg =
       | None -> drop_client t ~why:"request before hello" c
       | Some name ->
           reconcile t name;
-          if is_done t then send_or_drop t c (Codec.Bye { reason = "campaign complete" })
+          if is_done t then send_or_drop t c (Codec.Bye { reason = Codec.campaign_complete })
           else (
             match Lease.grant t.leases ~owner:name with
             | Some l ->
@@ -604,7 +604,7 @@ let finish t =
       end)
     (Lease.live t.leases);
   let cs = t.clients in
-  List.iter (fun c -> ignore (t.io.send c.c_conn (Codec.Bye { reason = "campaign complete" }))) cs;
+  List.iter (fun c -> ignore (t.io.send c.c_conn (Codec.Bye { reason = Codec.campaign_complete }))) cs;
   List.iter (fun c -> drop_client t ~why:"campaign complete" c) cs
 
 let summary t ~wall_s =

@@ -84,7 +84,6 @@ type conn = {
   send_lock : Mutex.t;
   decoder : Wire.Decoder.t;
   read_buf : Bytes.t;
-  mutable stash : Wire.frame list;  (* decoded, not yet returned by recv_msg *)
   mutable closed : bool;
 }
 
@@ -95,7 +94,6 @@ let conn_of_fd ~peer fd =
     send_lock = Mutex.create ();
     decoder = Wire.Decoder.create ();
     read_buf = Bytes.create 65_536;
-    stash = [];
     closed = false;
   }
 
@@ -158,20 +156,11 @@ let recv_step c =
   | exception Unix.Unix_error (e, _, _) ->
       `Error (Printf.sprintf "recv: %s" (Unix.error_message e))
 
-(* A conn has exactly one reader (the worker's main loop, or the
-   coordinator's select loop — which uses recv_step directly), so the
-   stash needs no lock. *)
-let rec recv_msg c =
-  match c.stash with
-  | f :: rest -> (
-      c.stash <- rest;
-      match Codec.of_frame f with Ok m -> `Msg m | Error e -> `Error e)
-  | [] -> (
-      match recv_step c with
-      | `Frames fs ->
-          c.stash <- fs;
-          recv_msg c
-      | (`Closed | `Error _) as other -> other)
+let readable c ~timeout_s =
+  match Unix.select [ c.c_fd ] [] [] timeout_s with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
 (* ---- client ---- *)
 

@@ -40,13 +40,15 @@ val send_msg : conn -> Codec.msg -> (unit, string) result
 
 val recv_step :
   conn -> [ `Frames of Wire.frame list | `Closed | `Error of string ]
-(** One [read] syscall (blocking until the peer writes or closes — on
-    the coordinator, call only after [select] reports the fd readable),
+(** One [read] syscall (blocking until the peer writes or closes — the
+    coordinator and the worker both call it only after [select] reports
+    the fd readable),
     fed to the decoder; returns every frame it completed (possibly
     none: [`Frames []]). [`Closed] is a clean EOF. *)
 
-val recv_msg : conn -> [ `Msg of Codec.msg | `Closed | `Error of string ]
-(** Blocking: pump {!recv_step} until one full message decodes. *)
+val readable : conn -> timeout_s:float -> bool
+(** Wait up to [timeout_s] for {!recv_step} to have something to
+    return (data, EOF or an error); [false] on timeout. *)
 
 val close : conn -> unit
 (** Idempotent. *)

@@ -7,35 +7,27 @@
     ({!Ffault_campaign.Pool.run_trials} — domains, deadlines, retries,
     quarantine and adaptive deadlines all behave exactly as in a local
     run), stream one [Result] frame per record, and send [Complete].
-    [Wait] backs it off when every shard is leased; [Bye] (or a closed
-    socket once the campaign is done) ends it.
+    [Wait] backs it off when every shard is leased; [Bye] ends it, also
+    during that backoff.
 
-    {b Reconnection.} A lost connection — including a coordinator that
-    crashed and is restarting — does not kill the worker. It retries
-    the connect under a bounded {!Ffault_supervise.Retry} backoff
-    schedule (seeded by the worker name, so a fleet does not
-    thundering-herd), re-[Hello]s carrying the last coordinator epoch
-    it saw, and resumes requesting leases. A lease that was in flight
-    when the connection died is {e not} re-executed: its records were
-    produced locally and are replayed to the new connection together
-    with its [Complete] under the original grant epoch — the
+    This module is the socket driver of {!Worker_core}, the one worker
+    state machine; netsim drives the same core under virtual time. The
+    session rules live there: the reply deadline (twice the [Welcome]'s
+    heartbeat interval — a silent coordinator behind a half-open TCP
+    connection is abandoned, not waited on forever), reconnection under
+    a bounded {!Ffault_supervise.Retry} backoff seeded by the worker
+    name, the re-[Hello] carrying the last coordinator epoch seen, and
+    the replay of an in-flight lease. That replay re-sends the lease's
+    records and its [Complete] under the original grant epoch — the
     coordinator dedups the records by trial id and fences a stale-epoch
     [Complete], so at most bookkeeping (never trials) is redone.
-    Consecutive failures beyond the policy's [max_retries] end the
-    worker with an error.
 
-    A background thread heartbeats at the cadence the [Welcome]
-    dictates, so a worker grinding through a slow trial range never
-    looks dead to the coordinator's watchdog. Results are sent from the
-    engine's serialized [on_record] path and heartbeats from the
-    thread; the connection's send mutex interleaves them safely.
-
-    Each beat piggybacks this process's telemetry snapshot and — when
-    {!Ffault_telemetry.Tracer} is enabled — the span events recorded
-    since the last beat, so the coordinator can aggregate fleet-wide
-    metrics and a cross-process trace without any extra connection. A
-    final flush beat precedes every [Complete], catching the tail of
-    the last lease.
+    Heartbeats follow the cadence the [Welcome] dictates, from a ticker
+    thread while a lease runs. Each beat piggybacks this process's
+    telemetry snapshot and — when {!Ffault_telemetry.Tracer} is enabled
+    — the span events recorded since the last beat, so the coordinator
+    can aggregate fleet-wide metrics and a cross-process trace without
+    any extra connection. A flush beat precedes every [Complete].
 
     Workers are deliberately crash-oblivious: they journal nothing and
     resume nothing. If one dies mid-lease, the coordinator re-leases the
@@ -57,46 +49,11 @@ val default_retry : Ffault_supervise.Retry.policy
 (** The default (re)connect backoff: 8 retries, 250 ms base, 5 s cap —
     sized to ride out a coordinator crash plus restart. *)
 
-(** The worker side of the protocol as pure frame classification,
-    shared by this blocking socket driver and the netsim worker actor
-    (so the simulated worker cannot drift from the real one). *)
-module Protocol : sig
-  type welcome = {
-    epoch : int;  (** the coordinator incarnation granting from here on *)
-    spec : Ffault_campaign.Spec.t;
-    supervision : Codec.supervision;
-    hb_interval_s : float;
-  }
-
-  val hello : name:string -> domains:int -> last_epoch:int -> Codec.msg
-  (** The [Hello] carrying {!Wire.version} and the last coordinator
-      epoch this worker saw (0 before any [Welcome]). *)
-
-  val welcome_reply : Codec.msg -> (welcome, string) result
-  (** Classify the reply to [Hello]: a matching-version [Welcome], or
-      the error to stop with (version mismatch, [Bye], junk). *)
-
-  type reply =
-    | Granted of { lease : int; epoch : int; lo : int; hi : int; done_ids : int list }
-        (** [epoch] is the grant's fencing token, echoed on [Complete] *)
-    | Backoff of float  (** [Wait]: retry the request after this many seconds *)
-    | Stop of string  (** [Bye]: campaign over *)
-    | Ignore  (** a stray [Heartbeat]: tolerated, request again *)
-    | Unexpected of string
-
-  val lease_reply : Codec.msg -> reply
-  (** Classify the reply to [Request]. *)
-
-  val ids_to_run : lo:int -> hi:int -> done_ids:int list -> int list
-  (** The trial ids of a lease still needing execution, ascending —
-      [\[lo, hi)] minus the already-journaled [done_ids]. *)
-end
-
-type summary = {
+type summary = Worker_core.summary = {
   leases_run : int;
   trials_run : int;  (** records streamed (excludes [done_ids] skips) *)
   trials_skipped : int;  (** [done_ids] on re-leases — already journaled *)
-  reconnects : int;  (** established sessions lost and re-established *)
+  reconnects : int;  (** sessions lost after the connection opened *)
   stop_reason : string;  (** the coordinator's [Bye] reason, or the error *)
 }
 
@@ -108,7 +65,8 @@ val run :
   config ->
   (summary, string) result
 (** Serve leases until the coordinator says [Bye] (normal completion,
-    [Ok]) or the connect/reconnect budget is exhausted ([Error]).
+    [Ok]), or until the connect/reconnect budget is exhausted or the
+    coordinator rejects this worker ([Error]).
     [on_event] receives one-line lease lifecycle messages; [on_warn]
     receives connection-trouble messages (failed connects, lost
     sessions) with the scheduled retry. [retry] bounds the backoff

@@ -8,7 +8,7 @@ module Codec = Ffault_dist.Codec
 module Core = Ffault_dist.Core
 module Status = Ffault_dist.Status
 module Coordinator = Ffault_dist.Coordinator
-module Protocol = Ffault_dist.Worker.Protocol
+module Wcore = Ffault_dist.Worker_core
 module Retry = Ffault_supervise.Retry
 module Events = Ffault_telemetry.Events
 
@@ -59,16 +59,14 @@ let probe_ns = 1_000_000_000 (* mid-run status scrape, virtual *)
 (* ---- virtual-time tuning (all deterministic constants) ---- *)
 
 let tick_ns = 50_000_000 (* coordinator tick cadence *)
-let hb_interval_s = 0.5 (* imposed on workers via Welcome *)
+let hb_interval_s = 0.5 (* imposed on workers via Welcome; their reply deadline is 2x *)
 let lease_timeout_s = 2.0 (* silence budget before a lease is reclaimed *)
-let silence_ns = 1_000_000_000 (* worker's reply deadline before reconnecting *)
-let reconnect_ns = 25_000_000
 let trial_cost_ns = 2_000_000 (* virtual compute per trial *)
-let hb_ns = 500_000_000
 
-(* Refused connects (coordinator down between crash and restart) back
-   off under the same bounded Retry schedule the socket worker uses —
-   enough budget to outlast any crash window the plan can derive. *)
+(* Refused connects and lost sessions (coordinator down between crash
+   and restart, a partition, a silent link) back off under a bounded
+   Retry schedule, as the socket worker does — with enough budget to
+   outlast any window the plan can derive. *)
 let connect_retry =
   Retry.policy ~max_retries:20 ~base_backoff_ns:50_000_000
     ~max_backoff_ns:1_000_000_000 ()
@@ -96,31 +94,17 @@ let record_of spec id =
     witness = None;
   }
 
-type wphase = Joining | Awaiting | Running | Stopped
-
-(* The lease a worker is (or was last) working: enough to finish the
-   range without a connection and to replay it — records plus the
-   epoch-stamped [Complete] — to the next session, as the socket worker
-   does. *)
-type wlease = {
-  wl_id : int;
-  wl_epoch : int; (* the grant's fencing token, echoed on Complete *)
-  wl_ids : int list;
-  mutable wl_prod_rev : int list; (* executed so far, newest first *)
-}
-
-type wactor = {
+(* A simulated worker process: the real [Worker_core] plus what its
+   driver owns — the connection, and the process incarnation, which a
+   crash or a stop bumps to cancel every timer and trial the old
+   process had scheduled. *)
+type wproc = {
   idx : int;
   wname : string;
-  mutable inc : int; (* incarnation: bumped on reconnect/crash/restart *)
-  mutable alive : bool;
+  mutable core : Wcore.t;
+  mutable inc : int;
   mutable wconn : Net.conn option;
-  mutable phase : wphase;
-  mutable seq : int; (* invalidates pending reply-deadline timers *)
   mutable sent : int; (* result frames streamed — the synthetic telemetry counter *)
-  mutable wepoch : int; (* last coordinator epoch seen; 0 before any Welcome *)
-  mutable wcur : wlease option;
-  mutable conn_fails : int; (* consecutive refused connects *)
 }
 
 let run ?atoms cfg ~seed =
@@ -268,244 +252,89 @@ let run ?atoms cfg ~seed =
   Sched.after sched ~ns:tick_ns tick;
   Sched.at sched ~ns:probe_ns (fun () -> if not !finished then probe ());
 
-  (* ---- worker actors ---- *)
+  (* ---- worker processes: Worker_core on virtual time ---- *)
+  let new_core wname =
+    Wcore.create ~clock:(Sched.clock sched) ~retry:connect_retry ~name:wname ~domains:1
+  in
   let ws =
-    Array.init cfg.workers (fun i ->
-        {
-          idx = i;
-          wname = Printf.sprintf "w%d" i;
-          inc = 0;
-          alive = true;
-          wconn = None;
-          phase = Joining;
-          seq = 0;
-          sent = 0;
-          wepoch = 0;
-          wcur = None;
-          conn_fails = 0;
-        })
+    Array.init cfg.workers (fun idx ->
+        let wname = Printf.sprintf "w%d" idx in
+        { idx; wname; core = new_core wname; inc = 0; wconn = None; sent = 0 })
   in
-  let bump w = w.seq <- w.seq + 1 in
-  let send_msg w msg =
-    match w.wconn with None -> () | Some c -> ignore (Net.send c msg)
-  in
-  let log_exec w ~epoch ~lease id =
-    exec_rev := (w.idx, id, epoch, lease, w.inc) :: !exec_rev
-  in
-  let rec start w =
-    match Net.connect net ~worker:w.idx with
-    | Error why ->
-        (* coordinator down (or campaign over and the listener closed):
-           bounded backoff, like the socket worker — not instant death *)
-        w.conn_fails <- w.conn_fails + 1;
-        if w.conn_fails > connect_retry.Retry.max_retries then
-          stop w ~why:(why ^ " — connect retries exhausted")
-        else begin
-          let ns =
-            Retry.backoff_ns connect_retry ~seed:(Int64.of_int w.idx)
-              ~attempt:w.conn_fails
-          in
-          tracef "%s: %s — connect retry %d in %dms" w.wname why w.conn_fails
-            (ns / 1_000_000);
-          bump w;
-          let inc = w.inc in
-          Sched.after sched ~ns (fun () -> if w.alive && w.inc = inc then start w)
-        end
-    | Ok conn ->
-        w.conn_fails <- 0;
-        w.wconn <- Some conn;
-        w.phase <- Joining;
-        bump w;
+  let send w msg = Option.iter (fun c -> ignore (Net.send c msg)) w.wconn in
+  let rec feed w ev = List.iter (perform w) (Wcore.handle w.core ev)
+  and perform w = function
+    | Wcore.Connect -> (
+        match Net.connect net ~worker:w.idx with
+        | Error why -> feed w (Wcore.Connect_failed why)
+        | Ok conn ->
+            w.wconn <- Some conn;
+            let live () = match w.wconn with Some c -> c == conn | None -> false in
+            Net.set_handler conn
+              {
+                Net.h_frames =
+                  (fun frames ->
+                    List.iter
+                      (fun f ->
+                        if live () then
+                          feed w
+                            (match Codec.of_frame f with
+                            | Ok m -> Wcore.Msg m
+                            | Error why -> Wcore.Closed ("bad frame: " ^ why)))
+                      frames);
+                h_closed = (fun () -> if live () then feed w (Wcore.Closed "eof"));
+                h_error = (fun e -> if live () then feed w (Wcore.Closed e));
+              };
+            feed w Wcore.Connected)
+    | Wcore.Send msg ->
+        (match msg with Codec.Result _ -> w.sent <- w.sent + 1 | _ -> ());
+        send w msg
+    | Wcore.Beat ->
+        (* beats piggyback a synthetic telemetry snapshot (results
+           streamed so far) — deterministic, unlike real process
+           metrics, so the merged fleet counters golden-test *)
+        send w
+          (Codec.Heartbeat
+             {
+               snapshot =
+                 Some
+                   (Json.Obj
+                      [ ("counters", Json.Obj [ ("netsim.results_sent", Json.Int w.sent) ]) ]);
+               spans = None;
+             })
+    | Wcore.Close ->
+        Option.iter Net.close w.wconn;
+        w.wconn <- None
+    | Wcore.Arm (timer, at) ->
         let inc = w.inc in
-        Net.set_handler conn
-          {
-            Net.h_frames =
-              (fun frames ->
-                List.iter
-                  (fun f -> if w.alive && w.inc = inc then on_frame w f)
-                  frames);
-            h_closed =
-              (fun () ->
-                if w.alive && w.inc = inc then begin
-                  tracef "%s: eof — reconnect" w.wname;
-                  reconnect w
-                end);
-            h_error =
-              (fun e ->
-                if w.alive && w.inc = inc then begin
-                  tracef "%s: stream error (%s) — reconnect" w.wname e;
-                  reconnect w
-                end);
-          };
-        tracef "%s: hello (last epoch %d)" w.wname w.wepoch;
-        send_msg w (Protocol.hello ~name:w.wname ~domains:1 ~last_epoch:w.wepoch);
-        arm_silence w;
-        arm_heartbeat w
-  and arm_silence w =
-    (* reply deadline: an awaiting worker that hears nothing gives up on
-       the connection — this (not any protocol message) is what recovers
-       a dropped Welcome or Lease *)
-    let inc = w.inc and seq = w.seq in
-    Sched.after sched ~ns:silence_ns (fun () ->
-        if w.alive && w.inc = inc && w.seq = seq then begin
-          tracef "%s: no reply — reconnect" w.wname;
-          reconnect w
-        end)
-  and arm_heartbeat w =
+        Sched.at sched ~ns:at (fun () -> if w.inc = inc then feed w (Wcore.Timer timer))
+    | Wcore.Run { lease; _ } -> run_lease w lease
+    | Wcore.Note m | Wcore.Warn m -> tracef "%s: %s" w.wname m
+    | Wcore.Stop r ->
+        tracef "%s: stop (%s)" w.wname (match r with Ok why -> "bye: " ^ why | Error e -> e);
+        w.inc <- w.inc + 1
+  and run_lease w (l : Wcore.lease) =
+    (* the virtual-time executor: one synthetic record per trial cost,
+       running on whatever happens to the connection meanwhile *)
     let inc = w.inc in
-    Sched.after sched ~ns:hb_ns (fun () ->
-        if w.alive && w.inc = inc then begin
-          (* beats piggyback a synthetic telemetry snapshot (results
-             streamed so far) — deterministic, unlike real process
-             metrics, so the merged fleet counters golden-test *)
-          send_msg w
-            (Codec.Heartbeat
-               {
-                 snapshot =
-                   Some
-                     (Json.Obj
-                        [
-                          ( "counters",
-                            Json.Obj [ ("netsim.results_sent", Json.Int w.sent) ] );
-                        ]);
-                 spans = None;
-               });
-          arm_heartbeat w
-        end)
-  and request w =
-    bump w;
-    w.phase <- Awaiting;
-    send_msg w Codec.Request;
-    arm_silence w
-  and resend w =
-    (* replay the last lease to a fresh session: its records (the
-       coordinator dedups them by trial id) and its Complete under the
-       original grant epoch (fenced there if an incarnation has passed).
-       Nothing is re-executed — this is retransmission, not rework. *)
-    match w.wcur with
-    | None -> ()
-    | Some wl ->
-        tracef "%s: resend lease #%d@%d — %d record(s)" w.wname wl.wl_id wl.wl_epoch
-          (List.length wl.wl_prod_rev);
-        List.iter
-          (fun id ->
-            w.sent <- w.sent + 1;
-            send_msg w (Codec.Result (record_of spec id)))
-          (List.rev wl.wl_prod_rev);
-        send_msg w (Codec.Complete { lease = wl.wl_id; epoch = wl.wl_epoch })
-  and run_lease w ~lease ~epoch ~ids =
-    bump w;
-    w.phase <- Running;
-    tracef "%s: lease #%d@%d — %d trial(s)" w.wname lease epoch (List.length ids);
-    let wl = { wl_id = lease; wl_epoch = epoch; wl_ids = ids; wl_prod_rev = [] } in
-    w.wcur <- Some wl;
-    let inc = w.inc in
+    let ids = List.filter (Wcore.runs l) (List.init (max 0 (l.hi - l.lo)) (( + ) l.lo)) in
     List.iteri
       (fun j id ->
         Sched.after sched ~ns:((j + 1) * trial_cost_ns) (fun () ->
-            if w.alive && w.inc = inc then begin
-              w.sent <- w.sent + 1;
-              log_exec w ~epoch ~lease id;
-              wl.wl_prod_rev <- id :: wl.wl_prod_rev;
-              send_msg w (Codec.Result (record_of spec id))
+            if w.inc = inc then begin
+              exec_rev := (w.idx, id, l.epoch, l.id, w.inc) :: !exec_rev;
+              feed w (Wcore.Record (record_of spec id))
             end))
       ids;
     Sched.after sched
       ~ns:((List.length ids + 1) * trial_cost_ns)
-      (fun () ->
-        if w.alive && w.inc = inc then begin
-          send_msg w (Codec.Complete { lease; epoch });
-          request w
-        end)
-  and finish_lease_offline w =
-    (* a connection lost mid-lease cancels the production timers (they
-       are incarnation-guarded), but the socket worker's bounded range
-       still finishes without its coordinator — mirror that here so the
-       resent Complete is honest *)
-    match w.wcur with
-    | Some wl when w.phase = Running ->
-        let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl in
-        (match drop (List.length wl.wl_prod_rev) wl.wl_ids with
-        | [] -> ()
-        | remaining ->
-            tracef "%s: finishing lease #%d offline — %d trial(s)" w.wname wl.wl_id
-              (List.length remaining);
-            List.iter
-              (fun id ->
-                log_exec w ~epoch:wl.wl_epoch ~lease:wl.wl_id id;
-                wl.wl_prod_rev <- id :: wl.wl_prod_rev)
-              remaining)
-    | Some _ | None -> ()
-  and stop w ~why =
-    if w.phase <> Stopped then begin
-      tracef "%s: stop (%s)" w.wname why;
-      w.inc <- w.inc + 1;
-      bump w;
-      w.alive <- false;
-      w.phase <- Stopped;
-      (match w.wconn with Some c -> Net.close c | None -> ());
-      w.wconn <- None
-    end
-  and reconnect w =
-    finish_lease_offline w;
-    w.inc <- w.inc + 1;
-    bump w;
-    (match w.wconn with Some c -> Net.close c | None -> ());
-    w.wconn <- None;
-    w.phase <- Joining;
-    let inc = w.inc in
-    Sched.after sched ~ns:reconnect_ns (fun () ->
-        if w.alive && w.inc = inc then start w)
-  and on_frame w frame =
-    match Codec.of_frame frame with
-    | Ok msg -> on_msg w msg
-    | Error why ->
-        tracef "%s: bad frame (%s) — reconnect" w.wname why;
-        reconnect w
-  and on_msg w msg =
-    match w.phase with
-    | Stopped -> ()
-    | Joining -> (
-        match msg with
-        | Codec.Bye { reason } -> stop w ~why:("bye: " ^ reason)
-        | _ -> (
-            match Protocol.welcome_reply msg with
-            | Ok welcome ->
-                if w.wepoch > 0 && welcome.Protocol.epoch <> w.wepoch then
-                  tracef "%s: coordinator is now epoch %d (was %d)" w.wname
-                    welcome.Protocol.epoch w.wepoch;
-                w.wepoch <- welcome.Protocol.epoch;
-                resend w;
-                request w
-            | Error _ ->
-                (* junk or a reordered stray — keep waiting for the
-                   real Welcome, with a fresh reply deadline *)
-                bump w;
-                arm_silence w))
-    | Awaiting -> (
-        match Protocol.lease_reply msg with
-        | Protocol.Granted { lease; epoch; lo; hi; done_ids } ->
-            run_lease w ~lease ~epoch ~ids:(Protocol.ids_to_run ~lo ~hi ~done_ids)
-        | Protocol.Backoff s ->
-            bump w;
-            let inc = w.inc and seq = w.seq in
-            Sched.after sched
-              ~ns:(int_of_float (s *. 1e9))
-              (fun () ->
-                if w.alive && w.inc = inc && w.seq = seq then request w)
-        | Protocol.Stop reason -> stop w ~why:("bye: " ^ reason)
-        | Protocol.Ignore | Protocol.Unexpected _ ->
-            bump w;
-            arm_silence w)
-    | Running -> (
-        (* progress is timer-driven; only a Bye matters here (dup'd or
-           reordered old replies are ignored) *)
-        match msg with
-        | Codec.Bye { reason } -> stop w ~why:("bye: " ^ reason)
-        | _ -> ())
+      (fun () -> if w.inc = inc then feed w Wcore.Lease_done)
   in
   Array.iter
-    (fun w -> Sched.after sched ~ns:((w.idx + 1) * 1_000_000) (fun () -> start w))
+    (fun w ->
+      let inc = w.inc in
+      Sched.after sched ~ns:((w.idx + 1) * 1_000_000) (fun () ->
+          if w.inc = inc then List.iter (perform w) (Wcore.start w.core)))
     ws;
 
   (* ---- the schedule's partition and crash windows ---- *)
@@ -522,24 +351,14 @@ let run ?atoms cfg ~seed =
       Sched.at sched ~ns:at_ns (fun () ->
           tracef "%s: crash" w.wname;
           w.inc <- w.inc + 1;
-          bump w;
-          w.alive <- false;
-          w.phase <- Stopped;
           w.wconn <- None;
-          (* a crashed process remembers nothing *)
-          w.wepoch <- 0;
-          w.wcur <- None;
-          w.conn_fails <- 0;
           Net.crash_worker net ~worker:wi);
       Sched.at sched ~ns:restart_ns (fun () ->
+          (* a restarted process remembers nothing *)
           tracef "%s: restart" w.wname;
           w.inc <- w.inc + 1;
-          bump w;
-          (match w.wconn with Some c -> Net.close c | None -> ());
-          w.wconn <- None;
-          w.conn_fails <- 0;
-          w.alive <- true;
-          start w))
+          w.core <- new_core w.wname;
+          List.iter (perform w) (Wcore.start w.core)))
     (Fault_plan.crashes plan);
   List.iter
     (fun (at_ns, restart_ns) ->

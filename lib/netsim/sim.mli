@@ -1,12 +1,12 @@
 (** One simulated campaign: the real {!Ffault_dist.Core} coordinator
-    engine plus [workers] simulated worker actors, on a {!Net} network
-    under a {!Fault_plan} schedule, all inside a single {!Sched} run of
-    virtual time.
+    engine plus [workers] simulated worker processes, on a {!Net}
+    network under a {!Fault_plan} schedule, all inside a single {!Sched}
+    run of virtual time.
 
-    The worker actors speak the protocol through
-    {!Ffault_dist.Worker.Protocol} (the same classification the socket
-    worker uses) and synthesize deterministic trial records from the
-    grid, so the journal a run produces is a pure function of
+    Each worker process is the real {!Ffault_dist.Worker_core} — the
+    state machine the socket worker drives — fed by a virtual-time
+    driver whose trial executor synthesizes deterministic records from
+    the grid, so the journal a run produces is a pure function of
     [(config, seed)] — byte-identical across re-runs, which the tests
     pin.
 
@@ -15,9 +15,9 @@
     table, connections, epoch state, everything in memory — while the
     in-memory journal (the stand-in for the journal file) survives; the
     restart boots the next incarnation through the same
-    journal-recovery path [serve --resume] runs, and the worker actors
-    ride it out with bounded connect backoff plus an in-flight-lease
-    replay, like the socket worker.
+    journal-recovery path [serve --resume] runs, and the workers ride
+    it out through the core's reply deadline, reconnect backoff and
+    in-flight-lease replay.
 
     Two invariants are checked: {e exactly-once} — when the run ends,
     the journal must hold every trial id exactly once and the

@@ -57,16 +57,27 @@ done
 
 # The workers of the whole test: started once, never restarted. Their
 # summary lines (captured stdout) are the reattachment evidence.
-"$BIN" worker --connect "unix:$SOCK" --name chaos-w1 --domains 2 --quiet > "$SCRAPES/w1.out" &
+# Their warnings (captured stderr) show when they start retrying.
+"$BIN" worker --connect "unix:$SOCK" --name chaos-w1 --domains 2 --quiet > "$SCRAPES/w1.out" 2> "$SCRAPES/w1.err" &
 W1=$!
-"$BIN" worker --connect "unix:$SOCK" --name chaos-w2 --domains 2 --quiet > "$SCRAPES/w2.out" &
+"$BIN" worker --connect "unix:$SOCK" --name chaos-w2 --domains 2 --quiet > "$SCRAPES/w2.out" 2> "$SCRAPES/w2.err" &
 W2=$!
-"$BIN" worker --connect "unix:$SOCK" --name chaos-w3 --domains 2 --quiet > "$SCRAPES/w3.out" &
+"$BIN" worker --connect "unix:$SOCK" --name chaos-w3 --domains 2 --quiet > "$SCRAPES/w3.out" 2> "$SCRAPES/w3.err" &
 W3=$!
 
-# Let the campaign get moving, then snapshot epoch 1: the ownership
+# Let the campaign get moving — a tenth of the grid journaled, so most
+# of it is left for the resumed incarnation and every worker's backoff
+# brings it back before the end — then snapshot epoch 1: the ownership
 # file and a live scrape.
-sleep 0.8
+tries=0
+until [ "$(grep -c '"trial":' "$DIR/journal.jsonl" 2>/dev/null || true)" -ge $((TOTAL / 10)) ]; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 600 ]; then
+    echo "coord-chaos-smoke FAILED: the first incarnation journaled too little in time" >&2
+    exit 1
+  fi
+  sleep 0.05
+done
 status_get /status > "$SCRAPES/status-epoch1.json"
 cp "$DIR/owner.json" "$SCRAPES/owner-epoch1.json"
 if ! grep -q '"epoch":1' "$SCRAPES/status-epoch1.json"; then
@@ -85,9 +96,20 @@ kill -9 "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 echo "killed coordinator after ~$BEFORE journaled trials"
 
-# Leave the workers in the dark for a moment — they must be retrying,
-# not dead — then restart the campaign as the next incarnation.
-sleep 0.5
+# Leave the workers in the dark until each has noticed and is retrying,
+# not dead, then restart the campaign as the next incarnation.
+tries=0
+for i in 1 2 3; do
+  until grep -q 'retry' "$SCRAPES/w$i.err"; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 200 ]; then
+      echo "coord-chaos-smoke FAILED: chaos-w$i never started retrying" >&2
+      cat "$SCRAPES/w$i.err" >&2
+      exit 1
+    fi
+    sleep 0.05
+  done
+done
 serve --resume
 SERVE_PID=$!
 
@@ -157,7 +179,7 @@ wait "$W2" || { echo "coord-chaos-smoke FAILED: chaos-w2 exited non-zero" >&2; W
 wait "$W3" || { echo "coord-chaos-smoke FAILED: chaos-w3 exited non-zero" >&2; WFAIL=1; }
 rm -f "$SOCK" "$STATUS_SOCK"
 if [ "$WFAIL" -ne 0 ]; then
-  cat "$SCRAPES"/w*.out >&2 || true
+  cat "$SCRAPES"/w*.out "$SCRAPES"/w*.err >&2 || true
   exit 1
 fi
 

@@ -710,6 +710,383 @@ let test_serve_exactly_once () =
               check Alcotest.bool "workers json is an object" true
                 (match w with Campaign.Json.Obj _ -> true | _ -> false)))
 
+(* ---- worker core: the one worker state machine, on a fake clock ---- *)
+
+module Wcore = Dist.Worker_core
+
+(* Actions rendered for comparison; notes and warnings are prose and
+   left out. A trailing "?" in an expected line matches any suffix (the
+   jittered backoff delays). *)
+let show_action now = function
+  | Wcore.Connect -> Some "connect"
+  | Wcore.Send (Codec.Hello { last_epoch; _ }) -> Some (Fmt.str "hello last_epoch=%d" last_epoch)
+  | Wcore.Send Codec.Request -> Some "request"
+  | Wcore.Send (Codec.Result r) -> Some (Fmt.str "result %d" r.Journal.trial)
+  | Wcore.Send (Codec.Complete { lease; epoch }) -> Some (Fmt.str "complete #%d@%d" lease epoch)
+  | Wcore.Send m -> Some (Fmt.str "send %a" Codec.pp m)
+  | Wcore.Beat -> Some "beat"
+  | Wcore.Close -> Some "close"
+  | Wcore.Arm (Wcore.Heartbeat, at) -> Some (Fmt.str "beat in %dms" ((at - now) / 1_000_000))
+  | Wcore.Arm (Wcore.Wake, at) -> Some (Fmt.str "wake in %dms" ((at - now) / 1_000_000))
+  | Wcore.Run { lease; _ } -> Some (Fmt.str "run #%d" lease.Wcore.id)
+  | Wcore.Note _ | Wcore.Warn _ -> None
+  | Wcore.Stop (Ok why) -> Some ("stop ok: " ^ why)
+  | Wcore.Stop (Error e) -> Some ("stop error: " ^ e)
+
+let matches expected got =
+  let n = String.length expected in
+  if n > 0 && expected.[n - 1] = '?' then
+    String.length got >= n - 1 && String.sub got 0 (n - 1) = String.sub expected 0 (n - 1)
+  else expected = got
+
+(* One script step: at this virtual time (ms), feed this event, expect
+   exactly these actions. *)
+type step = { at_ms : int; ev : Wcore.event; want : string list }
+
+let ( @> ) (at_ms, ev) want = { at_ms; ev; want }
+
+let run_script ?(retry = Retry.policy ~max_retries:3 ~base_backoff_ns:100_000_000 ()) name
+    steps =
+  let clock = Ffault_runtime.Clock.Virtual.create () in
+  let core =
+    Wcore.create ~clock:(Ffault_runtime.Clock.Virtual.clock clock) ~retry ~name:"w"
+      ~domains:1
+  in
+  check (Alcotest.list Alcotest.string) (name ^ ": start") [ "connect" ]
+    (List.filter_map (show_action 0) (Wcore.start core));
+  List.iteri
+    (fun i { at_ms; ev; want } ->
+      Ffault_runtime.Clock.Virtual.set clock ~ns:(at_ms * 1_000_000);
+      let now = at_ms * 1_000_000 in
+      let got = List.filter_map (show_action now) (Wcore.handle core ev) in
+      let label = Fmt.str "%s: step %d at %dms" name (i + 1) at_ms in
+      if List.length got <> List.length want || not (List.for_all2 matches want got) then
+        Alcotest.failf "%s:@ want [%s]@ got  [%s]" label (String.concat "; " want)
+          (String.concat "; " got))
+    steps;
+  core
+
+let welcome_msg ?(version = Wire.version) ?(epoch = 1) hb =
+  Codec.Welcome
+    { version; epoch; spec = fixture_spec; supervision = Codec.no_supervision;
+      hb_interval_s = hb }
+
+let welcome ?version ?epoch ?(hb = 0.5) () = Wcore.Msg (welcome_msg ?version ?epoch hb)
+
+let grant ?(epoch = 1) ?(done_ids = []) id lo hi =
+  Wcore.Msg (Codec.Lease { lease = id; epoch; lo; hi; done_ids })
+
+let bye reason = Wcore.Msg (Codec.Bye { reason })
+let record id = Wcore.Record { fixture_record with Journal.trial = id }
+
+(* connect, hello, welcome (hb 0.5 s), request — at t = 0 *)
+let joined =
+  [
+    (0, Wcore.Connected) @> [ "hello last_epoch=0"; "wake in 1000ms" ];
+    (0, welcome ()) @> [ "beat"; "beat in 500ms"; "request"; "wake in 1000ms" ];
+  ]
+
+(* One case per behaviour the socket worker and the old netsim worker
+   disagreed on, plus the replay and retry-cap rules. *)
+let worker_core_cases =
+  [
+    ( "reply deadline: 2x the Welcome's heartbeat, then a lost session",
+      [
+        (0, Wcore.Connected) @> [ "hello last_epoch=0"; "wake in 1000ms" ];
+        (0, welcome ~hb:0.05 ()) @> [ "beat"; "beat in 50ms"; "request"; "wake in 100ms" ];
+        (50, Wcore.Timer Wcore.Heartbeat) @> [ "beat"; "beat in 50ms" ];
+        (99, Wcore.Timer Wcore.Wake) @> [];
+        (100, Wcore.Timer Wcore.Wake) @> [ "close"; "wake in ?" ];
+        (100, Wcore.Timer Wcore.Heartbeat) @> [];
+      ] );
+    ( "reply deadline before any Welcome is 1 s",
+      [
+        (0, Wcore.Connected) @> [ "hello last_epoch=0"; "wake in 1000ms" ];
+        (1000, Wcore.Timer Wcore.Wake) @> [ "close"; "wake in ?" ];
+      ] );
+    ( "Bye during a Wait backoff stops at once",
+      joined
+      @ [
+          (10, Wcore.Msg (Codec.Wait { seconds = 1.0 })) @> [ "wake in 1000ms" ];
+          (20, bye "campaign complete") @> [ "close"; "stop ok: campaign complete" ];
+          (1010, Wcore.Timer Wcore.Wake) @> [];
+        ] );
+    ( "Wait backoff ends in a fresh request",
+      joined
+      @ [
+          (10, Wcore.Msg (Codec.Wait { seconds = 0.25 })) @> [ "wake in 250ms" ];
+          (260, Wcore.Timer Wcore.Wake) @> [ "request"; "wake in 1000ms" ];
+        ] );
+    ( "lost session backs off under Retry",
+      joined
+      @ [
+          (10, Wcore.Closed "eof") @> [ "close"; "wake in ?" ];
+          (10, Wcore.Connected) @> [];
+          (500, Wcore.Timer Wcore.Wake) @> [ "connect" ];
+          (500, Wcore.Connected) @> [ "hello last_epoch=1"; "wake in 1000ms" ];
+        ] );
+    ( "unexpected replies are ignored, the deadline keeps running",
+      joined
+      @ [
+          (10, Wcore.Msg Codec.heartbeat) @> [];
+          (20, welcome ()) @> [];
+          (1000, Wcore.Timer Wcore.Wake) @> [ "close"; "wake in ?" ];
+        ] );
+    ( "unexpected message before the Welcome is ignored",
+      [
+        (0, Wcore.Connected) @> [ "hello last_epoch=0"; "wake in 1000ms" ];
+        (10, Wcore.Msg Codec.Request) @> [];
+        (20, welcome ()) @> [ "beat"; "beat in 500ms"; "request"; "wake in 1000ms" ];
+      ] );
+    ( "Bye in place of the Welcome: campaign complete is a clean stop",
+      [
+        (0, Wcore.Connected) @> [ "hello last_epoch=0"; "wake in 1000ms" ];
+        (1, bye "campaign complete") @> [ "close"; "stop ok: campaign complete" ];
+      ] );
+    ( "Bye in place of the Welcome: anything else is a rejection",
+      [
+        (0, Wcore.Connected) @> [ "hello last_epoch=0"; "wake in 1000ms" ];
+        (1, bye "version mismatch: coordinator speaks 9, you speak 3")
+        @> [ "close"; "stop error: rejected: version mismatch: coordinator speaks 9, you speak 3" ];
+      ] );
+    ( "a Welcome in another wire version is fatal",
+      [
+        (0, Wcore.Connected) @> [ "hello last_epoch=0"; "wake in 1000ms" ];
+        (1, welcome ~version:(Wire.version + 1) ()) @> [ "close"; "stop error: ?" ];
+      ] );
+    ( "connection lost mid-lease: finish, reconnect, replay under the grant epoch",
+      joined
+      @ [
+          (10, grant 4 10 13) @> [ "run #4" ];
+          (12, record 10) @> [ "result 10" ];
+          (14, Wcore.Closed "eof") @> [ "close" ];
+          (16, record 11) @> [];
+          (18, record 12) @> [];
+          (20, Wcore.Lease_done) @> [ "close"; "wake in ?" ];
+          (500, Wcore.Timer Wcore.Wake) @> [ "connect" ];
+          (500, Wcore.Connected) @> [ "hello last_epoch=1"; "wake in 1000ms" ];
+          (501, welcome ~epoch:2 ())
+          @> [
+               "beat"; "beat in 500ms"; "result 10"; "result 11"; "result 12"; "beat";
+               "complete #4@1"; "request"; "wake in 1000ms";
+             ];
+          (502, grant ~epoch:2 0 20 22) @> [ "run #0" ];
+        ] );
+    ( "a Complete the coordinator never answered is replayed",
+      joined
+      @ [
+          (10, grant ~done_ids:[ 11 ] 4 10 12) @> [ "run #4" ];
+          (12, record 10) @> [ "result 10" ];
+          (14, Wcore.Lease_done) @> [ "beat"; "complete #4@1"; "request"; "wake in 1000ms" ];
+          (1014, Wcore.Timer Wcore.Wake) @> [ "close"; "wake in ?" ];
+          (2000, Wcore.Timer Wcore.Wake) @> [ "connect" ];
+          (2000, Wcore.Connected) @> [ "hello last_epoch=1"; "wake in 1000ms" ];
+          (2001, welcome ())
+          @> [ "beat"; "beat in 500ms"; "result 10"; "beat"; "complete #4@1"; "request";
+               "wake in 1000ms" ];
+          (* the answer proves the Complete landed: nothing left to replay *)
+          (2002, Wcore.Msg (Codec.Wait { seconds = 0.1 })) @> [ "wake in 100ms" ];
+          (2003, Wcore.Closed "eof") @> [ "close"; "wake in ?" ];
+          (3000, Wcore.Timer Wcore.Wake) @> [ "connect" ];
+          (3000, Wcore.Connected) @> [ "hello last_epoch=1"; "wake in 1000ms" ];
+          (3001, welcome ()) @> [ "beat"; "beat in 500ms"; "request"; "wake in 1000ms" ];
+        ] );
+  ]
+
+let test_worker_core_table () =
+  List.iter (fun (name, steps) -> ignore (run_script name steps)) worker_core_cases
+
+let test_worker_core_retry_cap () =
+  (* two failures allowed: the third in a row stops the worker, and a
+     Welcome in between resets the count *)
+  let retry = Retry.policy ~max_retries:2 ~base_backoff_ns:100_000_000 () in
+  ignore
+    (run_script ~retry "cap reached"
+       [
+         (0, Wcore.Connect_failed "refused") @> [ "wake in ?" ];
+         (1000, Wcore.Timer Wcore.Wake) @> [ "connect" ];
+         (1000, Wcore.Connected) @> [ "hello last_epoch=0"; "wake in 1000ms" ];
+         (1001, Wcore.Closed "eof") @> [ "close"; "wake in ?" ];
+         (2000, Wcore.Timer Wcore.Wake) @> [ "connect" ];
+         (2000, Wcore.Connect_failed "refused")
+         @> [
+              "close";
+              "stop error: connect failed: refused (gave up after 3 consecutive failure(s))";
+            ];
+       ]);
+  let core =
+    run_script ~retry "cap reset by a Welcome"
+      [
+        (0, Wcore.Connect_failed "refused") @> [ "wake in ?" ];
+        (1000, Wcore.Timer Wcore.Wake) @> [ "connect" ];
+        (1000, Wcore.Connect_failed "refused") @> [ "wake in ?" ];
+        (2000, Wcore.Timer Wcore.Wake) @> [ "connect" ];
+        (2000, Wcore.Connected) @> [ "hello last_epoch=0"; "wake in 1000ms" ];
+        (2001, welcome ()) @> [ "beat"; "beat in 500ms"; "request"; "wake in 1000ms" ];
+        (2002, Wcore.Closed "eof") @> [ "close"; "wake in ?" ];
+        (3000, Wcore.Timer Wcore.Wake) @> [ "connect" ];
+        (3000, Wcore.Connect_failed "refused") @> [ "wake in ?" ];
+      ]
+  in
+  check Alcotest.int "one lost session counted" 1 (Wcore.summary core).Wcore.reconnects
+
+let test_worker_core_runs () =
+  let runs = Wcore.runs { Wcore.id = 0; epoch = 1; lo = 10; hi = 15; done_ids = [ 11; 13; 99 ] } in
+  check (Alcotest.list Alcotest.int) "[lo, hi) minus done_ids" [ 10; 12; 14 ]
+    (List.filter runs (List.init 30 Fun.id))
+
+(* ---- socket worker against a scripted coordinator ---- *)
+
+(* Reads one message from [c] within [within] seconds; [None] on
+   silence, EOF or a broken stream. *)
+let reader c =
+  let q = Queue.create () in
+  fun ~within ->
+    let deadline = Unix.gettimeofday () +. within in
+    let rec go () =
+      if not (Queue.is_empty q) then Some (Queue.pop q)
+      else
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0.0 || not (Transport.readable c ~timeout_s:left) then None
+        else
+          match Transport.recv_step c with
+          | `Frames fs ->
+              List.iter (fun f -> Result.iter (fun m -> Queue.push m q) (Codec.of_frame f)) fs;
+              go ()
+          | `Closed | `Error _ -> None
+    in
+    go ()
+
+(* Serve [scripts] to successive connections on a fresh Unix socket
+   while [Worker.run] talks to it, and return the worker's outcome with
+   its wall time. Each script gets the connection and a reader; every
+   wait in a script is bounded and the connection closes after it, so a
+   worker that misbehaves fails its test instead of hanging it. *)
+let against_fake_coordinator scripts =
+  let sock = Filename.concat (tmp_root ()) "fake.sock" in
+  let l =
+    match Transport.listen (Transport.Unix_sock sock) with
+    | Ok l -> l
+    | Error e -> Alcotest.failf "listen: %s" e
+  in
+  let server =
+    Thread.create
+      (fun () ->
+        List.iter
+          (fun script ->
+            match Unix.select [ Transport.listener_fd l ] [] [] 5.0 with
+            | [], _, _ -> ()
+            | _ -> (
+                match Transport.accept l with
+                | Error _ -> ()
+                | Ok c ->
+                    let recv = reader c in
+                    script c recv;
+                    Transport.close c))
+          scripts;
+        Transport.close_listener l)
+      ()
+  in
+  let retry =
+    Retry.policy ~max_retries:2 ~base_backoff_ns:10_000_000 ~max_backoff_ns:50_000_000 ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let r = Dist.Worker.run ~retry (Dist.Worker.config ~name:"w-fake" (Transport.Unix_sock sock)) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Thread.join server;
+  (r, elapsed)
+
+let send c m = ignore (Transport.send_msg c m)
+
+(* the first message the worker sends that is not a heartbeat *)
+let rec expect recv ~within what =
+  match recv ~within with
+  | Some (Codec.Heartbeat _) -> expect recv ~within what
+  | Some m when what m -> true
+  | Some _ | None -> false
+
+let is_hello = function Codec.Hello _ -> true | _ -> false
+let is_request = function Codec.Request -> true | _ -> false
+
+(* drain until the worker hangs up or [within] seconds have passed *)
+let until_eof recv ~within =
+  let deadline = Unix.gettimeofday () +. within in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left > 0.0 then match recv ~within:left with Some _ -> go () | None -> ()
+  in
+  go ()
+
+let test_socket_reply_deadline () =
+  (* the coordinator welcomes, then never answers the Request: the
+     worker must give up after 2 x 0.05 s and reconnect *)
+  let silent_at = ref 0.0 and second_hello = ref infinity in
+  let r, _ =
+    against_fake_coordinator
+      [
+        (fun c recv ->
+          if expect recv ~within:2.0 is_hello then begin
+            send c (welcome_msg 0.05);
+            if expect recv ~within:2.0 is_request then begin
+              silent_at := Unix.gettimeofday ();
+              until_eof recv ~within:2.0
+            end
+          end);
+        (fun c recv ->
+          if expect recv ~within:2.0 is_hello then begin
+            second_hello := Unix.gettimeofday ();
+            send c (welcome_msg 0.05);
+            if expect recv ~within:2.0 is_request then
+              send c (Codec.Bye { reason = Codec.campaign_complete })
+          end);
+      ]
+  in
+  (match r with
+  | Ok s -> check Alcotest.int "one lost session" 1 s.Dist.Worker.reconnects
+  | Error e -> Alcotest.failf "worker: %s" e);
+  check Alcotest.bool
+    (Fmt.str "reconnected %.2fs after the request (deadline 0.1s)" (!second_hello -. !silent_at))
+    true
+    (!second_hello -. !silent_at < 1.0)
+
+let test_socket_bye_during_wait () =
+  let r, elapsed =
+    against_fake_coordinator
+      [
+        (fun c recv ->
+          if expect recv ~within:2.0 is_hello then begin
+            send c (welcome_msg 0.5);
+            if expect recv ~within:2.0 is_request then begin
+              send c (Codec.Wait { seconds = 1.0 });
+              send c (Codec.Bye { reason = Codec.campaign_complete });
+              until_eof recv ~within:3.0
+            end
+          end);
+      ]
+  in
+  (match r with
+  | Ok s -> check Alcotest.string "stop reason" Codec.campaign_complete s.Dist.Worker.stop_reason
+  | Error e -> Alcotest.failf "worker: %s" e);
+  check Alcotest.bool (Fmt.str "stopped in %.2fs, inside the 1s Wait" elapsed) true (elapsed < 0.5)
+
+let test_socket_bye_instead_of_welcome () =
+  let bye_on_hello reason =
+    against_fake_coordinator
+      [
+        (fun c recv ->
+          if expect recv ~within:2.0 is_hello then send c (Codec.Bye { reason }));
+      ]
+    |> fst
+  in
+  (match bye_on_hello Codec.campaign_complete with
+  | Ok s -> check Alcotest.int "no lease" 0 s.Dist.Worker.leases_run
+  | Error e -> Alcotest.failf "joining a finished campaign is not an error: %s" e);
+  match bye_on_hello "version mismatch: coordinator speaks 99, you speak 3" with
+  | Ok _ -> Alcotest.fail "a version mismatch must be fatal"
+  | Error e ->
+      check Alcotest.bool ("names the mismatch: " ^ e) true
+        (String.length e >= 9 && String.sub e 0 9 = "rejected:")
+
 let suites =
   [
     ( "dist.wire",
@@ -745,5 +1122,17 @@ let suites =
         Alcotest.test_case "stale complete fenced, results deduped" `Quick
           test_stale_complete_fenced_results_deduped;
         Alcotest.test_case "exactly-once over a socket" `Quick test_serve_exactly_once;
+      ] );
+    ( "dist.worker",
+      [
+        Alcotest.test_case "core: one case per resolved drift" `Quick test_worker_core_table;
+        Alcotest.test_case "core: retry cap reached and reset" `Quick
+          test_worker_core_retry_cap;
+        Alcotest.test_case "core: done-ids filter" `Quick test_worker_core_runs;
+        Alcotest.test_case "socket: reply deadline reconnects" `Quick
+          test_socket_reply_deadline;
+        Alcotest.test_case "socket: Bye ends a Wait backoff" `Quick test_socket_bye_during_wait;
+        Alcotest.test_case "socket: Bye in place of Welcome" `Quick
+          test_socket_bye_instead_of_welcome;
       ] );
   ]

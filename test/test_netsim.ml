@@ -287,20 +287,20 @@ let test_fencing_bug_caught_and_shrunk () =
   (* Plant the fencing bug: a Complete carrying a stale incarnation's
      grant epoch is trusted, retiring whatever live lease reuses the
      id. The hand-written window schedule drives the exact interleaving
-     that exposes it: the coordinator dies in the gap between round-1
-     results landing and round-2 grants, so every worker is left
-     holding a round-1 lease id (0, 1, 2) when epoch 2 starts reissuing
-     ids from 0; on reconnect, w2 is re-granted its range as epoch-2
-     lease #0 and then killed, and w0's resent [Complete] for epoch-1
-     lease #0 retires that live lease unverified — the dead worker's
-     shard is marked done with its trials unjournaled, and the campaign
-     stalls at the horizon. *)
+     that exposes it: the coordinator dies while every worker is
+     mid-way through a round-1 lease (ids 0, 1, 2), so each finishes it
+     into the void and reconnects on its reply deadline once epoch 2 is
+     up, replaying its round-1 records and [Complete]. w2 gets back
+     first, is granted epoch-2 lease #0 and is killed mid-lease; then
+     w0's replayed [Complete] for epoch-1 lease #0 retires that live
+     lease unverified — the dead worker's shard is marked done with its
+     trials unjournaled, and the campaign stalls at the horizon. *)
   let seed = 0xFE2CE5L in
   let atoms =
     [
       Fault_plan.CoordCrash { at_ns = 39_500_000; restart_ns = 500_000_000 };
       Fault_plan.Crash
-        { worker = 2; at_ns = 1_074_000_000; restart_ns = 6_074_000_000 };
+        { worker = 2; at_ns = 1_100_000_000; restart_ns = 6_100_000_000 };
     ]
   in
   let buggy = quick_config ~fence_epochs:false () in

@@ -169,16 +169,16 @@ let test_probes_deterministic () =
 let test_status_golden () =
   let ps = probes () in
   check Alcotest.string "/status mid-run"
-    "{\"version\":1,\"campaign\":\"netsim\",\"protocol\":\"fig1\",\"epoch\":1,\"restarts\":0,\"stale_completes\":0,\"state\":\"running\",\"total\":192,\"done\":125,\"skipped\":0,\"executed\":125,\"failures\":0,\"timeouts\":0,\"retried\":0,\"quarantined\":0,\"elapsed_s\":1.0,\"trials_per_s\":125.0,\"eta_s\":0.53600000000000003,\"workers_connected\":2,\"leases\":{\"outstanding\":2,\"pending\":9,\"granted\":9,\"completed\":1,\"expired\":0}}\n"
+    "{\"version\":1,\"campaign\":\"netsim\",\"protocol\":\"fig1\",\"epoch\":1,\"restarts\":0,\"stale_completes\":0,\"state\":\"running\",\"total\":192,\"done\":110,\"skipped\":0,\"executed\":110,\"failures\":0,\"timeouts\":0,\"retried\":0,\"quarantined\":0,\"elapsed_s\":1.0,\"trials_per_s\":110.0,\"eta_s\":0.74545454545454548,\"workers_connected\":2,\"leases\":{\"outstanding\":2,\"pending\":9,\"granted\":9,\"completed\":1,\"expired\":0}}\n"
     (find "/status" 0 ps);
   check Alcotest.string "/status done"
-    "{\"version\":1,\"campaign\":\"netsim\",\"protocol\":\"fig1\",\"epoch\":1,\"restarts\":0,\"stale_completes\":0,\"state\":\"done\",\"total\":192,\"done\":192,\"skipped\":0,\"executed\":192,\"failures\":0,\"timeouts\":0,\"retried\":0,\"quarantined\":0,\"elapsed_s\":2.5,\"trials_per_s\":76.799999999999997,\"eta_s\":null,\"workers_connected\":0,\"leases\":{\"outstanding\":0,\"pending\":0,\"granted\":23,\"completed\":12,\"expired\":0}}\n"
+    "{\"version\":1,\"campaign\":\"netsim\",\"protocol\":\"fig1\",\"epoch\":1,\"restarts\":0,\"stale_completes\":0,\"state\":\"done\",\"total\":192,\"done\":192,\"skipped\":0,\"executed\":192,\"failures\":0,\"timeouts\":0,\"retried\":0,\"quarantined\":0,\"elapsed_s\":2.4500000000000002,\"trials_per_s\":78.367346938775498,\"eta_s\":null,\"workers_connected\":0,\"leases\":{\"outstanding\":0,\"pending\":0,\"granted\":22,\"completed\":12,\"expired\":0}}\n"
     (find "/status" 1 ps)
 
 let test_workers_golden () =
   let ps = probes () in
   check Alcotest.string "/workers mid-run"
-    "{\"version\":1,\"epoch\":1,\"restarts\":0,\"hb_interval_s\":0.5,\"lease_timeout_s\":2.0,\"workers\":[{\"name\":\"w0\",\"peer\":\"sim://w0\",\"domains\":1,\"connected\":true,\"hb_age_s\":0.109446217,\"stale\":false,\"granted\":4,\"completed\":1,\"expired\":2,\"results\":51,\"deduped\":1,\"reconnects\":0,\"telemetry\":{\"counters\":{\"netsim.results_sent\":48}}},{\"name\":\"w1\",\"peer\":\"sim://w1\",\"domains\":1,\"connected\":true,\"hb_age_s\":0.084046708999999997,\"stale\":false,\"granted\":5,\"completed\":0,\"expired\":4,\"results\":74,\"deduped\":1,\"reconnects\":0,\"telemetry\":{\"counters\":{\"netsim.results_sent\":64}}}]}\n"
+    "{\"version\":1,\"epoch\":1,\"restarts\":0,\"hb_interval_s\":0.5,\"lease_timeout_s\":2.0,\"workers\":[{\"name\":\"w0\",\"peer\":\"sim://w0\",\"domains\":1,\"connected\":true,\"hb_age_s\":0.0082697510000000005,\"stale\":false,\"granted\":4,\"completed\":1,\"expired\":2,\"results\":48,\"deduped\":1,\"reconnects\":0,\"telemetry\":{\"counters\":{\"netsim.results_sent\":48}}},{\"name\":\"w1\",\"peer\":\"sim://w1\",\"domains\":1,\"connected\":true,\"hb_age_s\":0.020551011000000001,\"stale\":false,\"granted\":5,\"completed\":0,\"expired\":4,\"results\":62,\"deduped\":1,\"reconnects\":0,\"telemetry\":{\"counters\":{\"netsim.results_sent\":64}}}]}\n"
     (find "/workers" 0 ps)
 
 let test_events_probe_wellformed () =
