@@ -48,7 +48,8 @@ bench:
 
 # One measurement per workload under a millisecond quota: proves every
 # bench still runs and emits its BENCH_<group>.json, without the cost of
-# real timing. CI runs this on every push.
+# real timing. The files go to _build/bench-smoke/ (marked "smoke": true),
+# never over the committed baselines. CI runs this on every push.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke campaign netsim dist recover b1 e1
 

@@ -534,9 +534,12 @@ let pretty ns =
   else if ns >= 1e3 then Fmt.str "%.2f \xc2\xb5s" (ns /. 1e3)
   else Fmt.str "%.0f ns" ns
 
-(* Machine-readable sibling of the printed table: BENCH_<group>.json in
-   the working directory, one record per test. trials_per_s mirrors the
-   campaign summary's rate so the two are directly comparable. *)
+(* Machine-readable sibling of the printed table: BENCH_<group>.json, one
+   record per test. trials_per_s mirrors the campaign summary's rate so
+   the two are directly comparable. A real run writes into the working
+   directory (the committed baselines live at the repo root); a smoke
+   run writes under _build/bench-smoke/ and says "smoke": true, so it can
+   never replace a baseline. *)
 let write_json gname rows =
   let module Json = Ffault_campaign.Json in
   let record (name, iters, ns) =
@@ -549,11 +552,18 @@ let write_json gname rows =
           if Float.is_nan ns || ns <= 0.0 then Json.Null else Json.Float (1e9 /. ns) );
       ]
   in
-  let path = Fmt.str "BENCH_%s.json" gname in
+  let dir = if !smoke then Filename.concat "_build" "bench-smoke" else Filename.current_dir_name in
+  Ffault_campaign.Checkpoint.mkdir_p dir;
+  let path = Filename.concat dir (Fmt.str "BENCH_%s.json" gname) in
   Out_channel.with_open_text path (fun oc ->
       output_string oc
         (Json.to_string
-           (Json.Obj [ ("group", Json.Str gname); ("results", Json.List (List.map record rows)) ]));
+           (Json.Obj
+              [
+                ("group", Json.Str gname);
+                ("smoke", Json.Bool !smoke);
+                ("results", Json.List (List.map record rows));
+              ]));
       output_char oc '\n');
   Fmt.pr "  wrote %s@." path
 

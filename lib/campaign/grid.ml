@@ -127,6 +127,16 @@ let crash_suffix c =
     Fmt.str ",crashes=%d,crash_rate=%.3f,persist=%s" c.crashes c.crash_rate
       (Persistence.to_string c.persistence)
 
+let equal_cell a b =
+  a.f = b.f
+  && Option.equal Int.equal a.t b.t
+  && a.n = b.n
+  && Ffault_fault.Fault_kind.equal a.kind b.kind
+  && Float.equal a.rate b.rate
+  && a.crashes = b.crashes
+  && Float.equal a.crash_rate b.crash_rate
+  && Ffault_recover.Persistence.equal a.persistence b.persistence
+
 let cell_key c =
   Fmt.str "f=%d,t=%s,n=%d,kind=%s,rate=%.3f%s" c.f
     (match c.t with Some t -> string_of_int t | None -> "inf")

@@ -65,6 +65,9 @@ val in_envelope : cell -> Ffault_consensus.Protocol.t -> bool
     with crash-restarts is only in envelope for protocols that declare a
     recovery section. *)
 
+val equal_cell : cell -> cell -> bool
+(** Structural equality on every axis; rates compare with [Float.equal]. *)
+
 val cell_key : cell -> string
 (** Canonical axis string, the join key for campaign diffs. Crash-free
     cells render exactly as before the crash axes existed, so old and

@@ -77,10 +77,32 @@ let to_json r =
   in
   Json.Obj (base @ crash @ witness)
 
+(* The record's keys, indexed for [of_json]'s one pass over the object. *)
+let n_slots = 21
+
+let slot = function
+  | "trial" -> 0 | "f" -> 1 | "t" -> 2 | "n" -> 3 | "kind" -> 4 | "rate" -> 5 | "seed" -> 6
+  | "ok" -> 7 | "outcome" -> 8 | "retries" -> 9 | "violations" -> 10 | "steps" -> 11
+  | "max_steps" -> 12 | "stage" -> 13 | "faults" -> 14 | "wall_us" -> 15 | "crashes" -> 16
+  | "crash_rate" -> 17 | "persistence" -> 18 | "crash_faults" -> 19 | "witness" -> 20
+  | _ -> -1
+
 let of_json json =
   let ( let* ) = Result.bind in
+  (* One pass files each known key's value; the first binding of a
+     duplicated key wins, as [Json.member] does. *)
+  let slots = Array.make n_slots None in
+  (match json with
+  | Json.Obj fields ->
+      List.iter
+        (fun (k, v) ->
+          let i = slot k in
+          if i >= 0 && Option.is_none slots.(i) then slots.(i) <- Some v)
+        fields
+  | _ -> ());
+  let member key = slots.(slot key) in
   let field key project =
-    match Option.bind (Json.member key json) project with
+    match Option.bind (member key) project with
     | Some v -> Ok v
     | None -> Error (Fmt.str "journal record: missing or malformed %S" key)
   in
@@ -97,7 +119,7 @@ let of_json json =
   (* Both supervision fields default for pre-supervision journals (PR 1-3):
      outcome is inferred from ok, retries from absence. *)
   let* outcome =
-    match Json.member "outcome" json with
+    match member "outcome" with
     | None -> Ok (if ok then Pass else Violation)
     | Some j -> (
         match Option.bind (Json.get_str j) outcome_of_string with
@@ -105,7 +127,7 @@ let of_json json =
         | None -> Error "journal record: malformed outcome")
   in
   let* retries =
-    match Json.member "retries" json with
+    match member "retries" with
     | None -> Ok 0
     | Some j -> (
         match Json.get_int j with
@@ -126,7 +148,7 @@ let of_json json =
   (* Crash fields default for crash-free records (and pre-recovery
      journals, which predate the crash axes entirely). *)
   let* crashes =
-    match Json.member "crashes" json with
+    match member "crashes" with
     | None -> Ok 0
     | Some j -> (
         match Json.get_int j with
@@ -134,7 +156,7 @@ let of_json json =
         | Some _ | None -> Error "journal record: malformed crashes")
   in
   let* crash_rate =
-    match Json.member "crash_rate" json with
+    match member "crash_rate" with
     | None -> Ok 0.0
     | Some j -> (
         match Json.get_float j with
@@ -142,7 +164,7 @@ let of_json json =
         | None -> Error "journal record: malformed crash_rate")
   in
   let* persistence =
-    match Json.member "persistence" json with
+    match member "persistence" with
     | None -> Ok Persistence.Persist_all
     | Some j -> (
         match Json.get_str j with
@@ -153,7 +175,7 @@ let of_json json =
         | None -> Error "journal record: malformed persistence")
   in
   let* crash_faults =
-    match Json.member "crash_faults" json with
+    match member "crash_faults" with
     | None -> Ok 0
     | Some j -> (
         match Json.get_int j with
@@ -161,7 +183,7 @@ let of_json json =
         | Some _ | None -> Error "journal record: malformed crash_faults")
   in
   let* witness =
-    match Json.member "witness" json with
+    match member "witness" with
     | None -> Ok None
     | Some j -> (
         match
@@ -190,7 +212,75 @@ let of_json json =
       witness;
     }
 
-let to_line r = Json.to_string (to_json r)
+(* [to_json] streamed straight into a buffer: the same bytes as
+   [Json.to_string (to_json r)] (the scalar writers are shared), with no
+   tree and no per-field strings. *)
+let add_line b r =
+  let lit s = Buffer.add_string b s in
+  let int = Json.add_int b in
+  let c = r.cell in
+  lit "{\"trial\":";
+  int r.trial;
+  lit ",\"f\":";
+  int c.Grid.f;
+  lit ",\"t\":";
+  (match c.Grid.t with Some t -> int t | None -> lit "null");
+  lit ",\"n\":";
+  int c.Grid.n;
+  lit ",\"kind\":";
+  Json.add_string b (Fault_kind.to_string c.Grid.kind);
+  lit ",\"rate\":";
+  Json.add_float b c.Grid.rate;
+  lit ",\"seed\":\"";
+  Json.add_int64 b r.seed;
+  lit "\",\"ok\":";
+  lit (if r.ok then "true" else "false");
+  lit ",\"outcome\":";
+  Json.add_string b (outcome_to_string r.outcome);
+  lit ",\"retries\":";
+  int r.retries;
+  lit ",\"violations\":[";
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char b ',';
+      Json.add_string b v)
+    r.violations;
+  lit "],\"steps\":";
+  int r.steps;
+  lit ",\"max_steps\":";
+  int r.max_steps;
+  lit ",\"stage\":";
+  int r.stage;
+  lit ",\"faults\":";
+  int r.faults;
+  lit ",\"wall_us\":";
+  int r.wall_us;
+  if c.Grid.crashes <> 0 then begin
+    lit ",\"crashes\":";
+    int c.Grid.crashes;
+    lit ",\"crash_rate\":";
+    Json.add_float b c.Grid.crash_rate;
+    lit ",\"persistence\":";
+    Json.add_string b (Persistence.to_string c.Grid.persistence);
+    lit ",\"crash_faults\":";
+    int r.crash_faults
+  end;
+  (match r.witness with
+  | None -> ()
+  | Some w ->
+      lit ",\"witness\":[";
+      Array.iteri
+        (fun i d ->
+          if i > 0 then Buffer.add_char b ',';
+          int d)
+        w;
+      Buffer.add_char b ']');
+  Buffer.add_char b '}'
+
+let to_line r =
+  let b = Buffer.create 512 in
+  add_line b r;
+  Buffer.contents b
 
 let of_line line =
   match Json.of_string line with Ok j -> of_json j | Error m -> Error m
@@ -202,11 +292,12 @@ module Tracer = Ffault_telemetry.Tracer
 
 let m_flushes = Metrics.counter "campaign.journal.flushes"
 
-type writer = { oc : out_channel; lock : Mutex.t }
+(* [buf] is the encoding scratch, reused under [lock]. *)
+type writer = { oc : out_channel; lock : Mutex.t; buf : Buffer.t }
 
 let create_writer ~path =
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  { oc; lock = Mutex.create () }
+  { oc; lock = Mutex.create (); buf = Buffer.create 1024 }
 
 let append w r =
   Mutex.lock w.lock;
@@ -214,8 +305,10 @@ let append w r =
     ~finally:(fun () -> Mutex.unlock w.lock)
     (fun () ->
       Tracer.with_span ~cat:"journal" "journal.append" (fun () ->
-          output_string w.oc (to_line r);
-          output_char w.oc '\n';
+          Buffer.clear w.buf;
+          add_line w.buf r;
+          Buffer.add_char w.buf '\n';
+          Buffer.output_buffer w.oc w.buf;
           (* flush per record: a killed campaign must lose at most the
              record being written, for resume to be sound *)
           flush w.oc;

@@ -52,12 +52,19 @@ type record = {
 }
 
 val to_json : record -> Json.t
+(** The record as a JSON tree (the schema above). *)
+
 val of_json : Json.t -> (record, string) result
+(** Decode a record from its tree. When a key repeats, its first binding
+    wins. Keys this schema does not know are ignored. *)
 
 val to_line : record -> string
-(** One JSONL line (no newline). *)
+(** One JSONL line (no newline): exactly [Json.to_string (to_json r)],
+    written straight into a buffer without building the tree. This is
+    also the payload of a dist [Result] frame. *)
 
 val of_line : string -> (record, string) result
+(** [of_json] of the parsed line; a parse error is returned as is. *)
 
 (** {2 Writing} *)
 

@@ -71,9 +71,12 @@ let supervision_of_json j =
       | None -> false);
   }
 
-let payload_of = function
+(* A [Result]'s payload is its journal line, byte for byte. *)
+let payload_of msg =
+  let obj fields = Json.to_string (Json.Obj fields) in
+  match msg with
   | Hello { version; name; domains; last_epoch } ->
-      Json.Obj
+      obj
         [
           ("version", Json.Int version);
           ("name", Json.Str name);
@@ -81,7 +84,7 @@ let payload_of = function
           ("last_epoch", Json.Int last_epoch);
         ]
   | Welcome { version; epoch; spec; supervision; hb_interval_s } ->
-      Json.Obj
+      obj
         [
           ("version", Json.Int version);
           ("epoch", Json.Int epoch);
@@ -89,15 +92,15 @@ let payload_of = function
           ("supervision", supervision_to_json supervision);
           ("hb_interval_s", Json.Float hb_interval_s);
         ]
-  | Request -> Json.Obj []
+  | Request -> obj []
   | Heartbeat { snapshot; spans } ->
       (* both fields optional: a bare beat encodes as the legacy "{}",
          so old decoders never see an unknown shape *)
-      Json.Obj
+      obj
         ((match snapshot with Some s -> [ ("snapshot", s) ] | None -> [])
         @ match spans with Some s -> [ ("spans", s) ] | None -> [])
   | Lease { lease; epoch; lo; hi; done_ids } ->
-      Json.Obj
+      obj
         [
           ("lease", Json.Int lease);
           ("epoch", Json.Int epoch);
@@ -105,13 +108,13 @@ let payload_of = function
           ("hi", Json.Int hi);
           ("done", Json.List (List.map (fun i -> Json.Int i) done_ids));
         ]
-  | Result r -> Journal.to_json r
+  | Result r -> Journal.to_line r
   | Complete { lease; epoch } ->
-      Json.Obj [ ("lease", Json.Int lease); ("epoch", Json.Int epoch) ]
-  | Wait { seconds } -> Json.Obj [ ("seconds", Json.Float seconds) ]
-  | Bye { reason } -> Json.Obj [ ("reason", Json.Str reason) ]
+      obj [ ("lease", Json.Int lease); ("epoch", Json.Int epoch) ]
+  | Wait { seconds } -> obj [ ("seconds", Json.Float seconds) ]
+  | Bye { reason } -> obj [ ("reason", Json.Str reason) ]
 
-let to_frame msg = { Wire.tag = tag_of msg; payload = Json.to_string (payload_of msg) }
+let to_frame msg = { Wire.tag = tag_of msg; payload = payload_of msg }
 
 let ( let* ) = Result.bind
 

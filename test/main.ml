@@ -7,6 +7,6 @@ let () =
    @ Test_impossibility.suites @ Test_runtime.suites @ Test_stats.suites
    @ Test_extensions.suites @ Test_primitives.suites @ Test_critical.suites
    @ Test_engine_edge.suites @ Test_conformance.suites @ Test_crash_tolerance.suites
-   @ Test_experiments.suites @ Test_campaign.suites @ Test_telemetry.suites
+   @ Test_experiments.suites @ Test_campaign.suites @ Test_record_codec.suites @ Test_telemetry.suites
    @ Test_lint.suites @ Test_supervise.suites @ Test_dist.suites @ Test_netsim.suites
    @ Test_observability.suites @ Test_recover.suites)

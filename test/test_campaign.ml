@@ -64,13 +64,37 @@ let test_json_single_line () =
   let v = Json.Obj [ ("s", Json.Str "two\nlines"); ("l", Json.List [ Json.Str "\t" ]) ] in
   check Alcotest.bool "JSONL-safe" false (String.contains (Json.to_string v) '\n')
 
+(* Exact messages: journal health and recovery report them, and the
+   record decoder's agreement tests share this parser, so its error
+   text and offsets are pinned here. *)
 let test_json_errors () =
   List.iter
-    (fun s ->
+    (fun (s, want) ->
       match Json.of_string s with
       | Ok _ -> Alcotest.fail (Fmt.str "accepted %S" s)
-      | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated"; "{\"a\" 1}" ]
+      | Error m -> check Alcotest.string s want m)
+    [
+      ("", "unexpected end of input at offset 0");
+      ("{", "expected '\"' at offset 1");
+      ("[1,]", "unexpected character ']' at offset 3");
+      ("{\"a\":}", "unexpected character '}' at offset 5");
+      ("tru", "expected true at offset 0");
+      ("1 2", "trailing garbage at offset 2");
+      ("\"unterminated", "unterminated string at offset 13");
+      ("{\"a\" 1}", "expected ':' at offset 5");
+      ("\"a\\", "unterminated escape at offset 3");
+      ("\"\\u12\"", "truncated \\u escape at offset 3");
+      ("\"\\uzzzz\"", "bad \\u escape at offset 3");
+      ("\"\\q\"", "bad escape at offset 3");
+      ("-", "bad number at offset 1");
+      ("1-2", "bad number at offset 3");
+      ("[1 2]", "expected ']' at offset 3");
+      ("{\"a\":1,}", "expected '\"' at offset 7");
+      ("{1:2}", "expected '\"' at offset 1");
+      ("@", "unexpected character '@' at offset 0");
+      ("{\"trial\":3,\"f\"", "expected ':' at offset 14");
+      ("[\"x\",nul]", "expected null at offset 5");
+    ]
 
 let test_json_accessors () =
   let v = Json.Obj [ ("n", Json.Int 3); ("r", Json.Float 0.5) ] in
@@ -81,6 +105,78 @@ let test_json_accessors () =
     (Option.bind (Json.member "n" v) Json.get_float);
   check (Alcotest.option Alcotest.int) "missing member" None
     (Option.bind (Json.member "zzz" v) Json.get_int)
+
+(* [int_of_float] is unspecified outside the int range (it gave 0 for
+   1e300), so an out-of-range integral float must not pass as an int:
+   a forged {"trial":1e300,...} would otherwise decode as trial 0. *)
+let test_json_get_int_range () =
+  let get f = Json.get_int (Json.Float f) in
+  let opt = Alcotest.option Alcotest.int in
+  check opt "integral float" (Some 3) (get 3.0);
+  check opt "min_int is exact" (Some min_int) (get (Float.of_int min_int));
+  check opt "largest float below 2^62" (Some (int_of_float (Float.pred (-.Float.of_int min_int))))
+    (get (Float.pred (-.Float.of_int min_int)));
+  check opt "-min_int overflows" None (get (-.Float.of_int min_int));
+  check opt "1e300" None (get 1e300);
+  check opt "-1e300" None (get (-1e300));
+  check opt "below min_int" None (get (Float.pred (Float.of_int min_int)));
+  check opt "infinity" None (get infinity);
+  check opt "nan" None (get nan);
+  check opt "fractional" None (get 0.5);
+  let line =
+    "{\"trial\":1e300,\"f\":2,\"t\":1,\"n\":3,\"kind\":\"overriding\",\"rate\":0.4,\
+     \"seed\":\"1\",\"ok\":true,\"violations\":[],\"steps\":4,\"max_steps\":2,\
+     \"stage\":0,\"faults\":1,\"wall_us\":9}"
+  in
+  match Journal.of_line line with
+  | Ok r -> Alcotest.failf "trial 1e300 decoded as trial %d" r.Journal.trial
+  | Error m -> check Alcotest.string "rejected" "journal record: missing or malformed \"trial\"" m
+
+(* The scalar writers against the printf formats the tree printer used:
+   "%.1f" for integral floats below 1e15, "%.17g" otherwise. *)
+let test_json_scalar_writers () =
+  let printf_float f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else Printf.sprintf "%.17g" f
+  in
+  let check_float f =
+    let got = Json.to_string (Json.Float f) in
+    if not (String.equal got (printf_float f)) then
+      Alcotest.failf "float %h: wrote %s, printf %s" f got (printf_float f)
+  in
+  let rng = Random.State.make [| 0x5EED |] in
+  let pow10 k = 10. ** float_of_int k in
+  for _ = 1 to 20_000 do
+    let x = Random.State.float rng 1.0 in
+    check_float x;
+    check_float (-.x);
+    check_float (Random.State.float rng 1e15);
+    check_float (Int64.float_of_bits (Random.State.int64 rng Int64.max_int));
+    (* ties: few fractional bits, 18 significant digits *)
+    check_float
+      (float_of_int (Random.State.bits rng land ((1 lsl 48) - 1))
+      /. float_of_int (1 lsl Random.State.int rng 30));
+    check_float (float_of_int (Random.State.int rng 1_000_000) /. pow10 (Random.State.int rng 12));
+    let p = pow10 (Random.State.int rng 20 - 5) in
+    check_float (Float.pred p);
+    check_float (Float.succ p)
+  done;
+  List.iter check_float
+    [ 0.; -0.; 1.; -1.; 0.1; 0.2; 0.3; 0.7; 1e-4; 1e-5; 1e15; 1e20; 1e300; 5e-324;
+      Float.max_float; 12345678901234.5625; 999999999999999.875; infinity; neg_infinity ];
+  List.iter
+    (fun i -> check Alcotest.string "int" (string_of_int i) (Json.to_string (Json.Int i)))
+    [ 0; 7; -7; 10; 99; 100; -100; 123456789; min_int; max_int ];
+  List.iter
+    (fun v ->
+      let b = Buffer.create 32 in
+      Json.add_int64 b v;
+      check Alcotest.string "int64" (Int64.to_string v) (Buffer.contents b))
+    [ 0L; -1L; 4611686018427387903L; 4611686018427387904L; -4611686018427387905L;
+      Int64.min_int; Int64.max_int; -5530000000000000001L; 1000000000000000000L ];
+  (* DEL and UTF-8 pass through; only quote, backslash and C0 are escaped *)
+  check Alcotest.string "escapes" "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001f\127\xc3\xa9\""
+    (Json.to_string (Json.Str "q\"b\\n\nr\rt\tc\001\031\127\xc3\xa9"))
 
 (* ---- Spec ---- *)
 
@@ -685,6 +781,8 @@ let suites =
         Alcotest.test_case "single line" `Quick test_json_single_line;
         Alcotest.test_case "errors" `Quick test_json_errors;
         Alcotest.test_case "accessors" `Quick test_json_accessors;
+        Alcotest.test_case "get_int range" `Quick test_json_get_int_range;
+        Alcotest.test_case "scalar writers match printf" `Quick test_json_scalar_writers;
       ] );
     ( "campaign.spec",
       [

@@ -243,6 +243,32 @@ let test_codec_rejects_garbage () =
     with e -> Alcotest.failf "codec raised: %s" (Printexc.to_string e)
   done
 
+(* A Result payload is the journal line, byte for byte; and a payload
+   whose trial id is an out-of-range float must not decode as trial 0
+   (which the coordinator would journal if trial 0 were still open). *)
+let test_codec_result_payload () =
+  let f = Codec.to_frame (Codec.Result fixture_record) in
+  check Alcotest.string "payload is the journal line" (Journal.to_line fixture_record)
+    f.Wire.payload;
+  let with_trial v =
+    let fields =
+      match Journal.to_json fixture_record with Json.Obj fs -> fs | _ -> Alcotest.fail "not an object"
+    in
+    frame 'R'
+      (Json.to_string
+         (Json.Obj (List.map (function "trial", _ -> ("trial", v) | kv -> kv) fields)))
+  in
+  (match Codec.of_frame (with_trial (Json.Int 3)) with
+  | Ok (Codec.Result r) -> check Alcotest.int "in-range trial" 3 r.Journal.trial
+  | Ok m -> Alcotest.failf "decoded as %a" Codec.pp m
+  | Error m -> Alcotest.fail m);
+  List.iter
+    (fun v ->
+      match Codec.of_frame (with_trial (Json.Float v)) with
+      | Error _ -> ()
+      | Ok m -> Alcotest.failf "trial %g decoded as %a" v Codec.pp m)
+    [ 1e300; -1e300; 0x1p62; 1e19 ]
+
 (* ---- transport endpoints ---- *)
 
 let test_endpoint_parse () =
@@ -1102,6 +1128,7 @@ let suites =
       [
         Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
         Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
+        Alcotest.test_case "result payload" `Quick test_codec_result_payload;
         Alcotest.test_case "endpoints" `Quick test_endpoint_parse;
         Alcotest.test_case "endpoint round-trip" `Quick test_endpoint_round_trip;
       ] );
