@@ -38,12 +38,17 @@ let fig2_run ~f ~n = sim_consensus ~protocol:Consensus.F_tolerant.protocol ~f ~n
 let fig3_run ~f ~t ~n =
   sim_consensus ~protocol:Consensus.Bounded_faults.protocol ~f ~t ~n ~seed:3L ()
 
+(* Exploration workloads return their run and, lazily, the engine
+   executions one run performs (deterministic, so one exploration counts
+   them). *)
+let exploration setup ~max_executions =
+  let explore () = Dfs.explore ~max_executions ~max_witnesses:max_int setup in
+  (lazy (explore ()).Dfs.executions, fun () -> ignore (explore ()))
+
 let dfs_run ~objects ~n =
-  let setup =
-    Check.setup (Consensus.F_tolerant.with_objects objects)
-      (Protocol.params ~n_procs:n ~f:objects ())
-  in
-  fun () -> ignore (Dfs.explore ~max_executions:100_000 ~max_witnesses:max_int setup)
+  exploration ~max_executions:100_000
+    (Check.setup (Consensus.F_tolerant.with_objects objects)
+       (Protocol.params ~n_procs:n ~f:objects ()))
 
 let covering_run ~f =
   let setup =
@@ -186,7 +191,7 @@ let tas_dfs_run ~silent =
     Check.setup ~allowed_faults:allowed ?victims Consensus.Tas_consensus.protocol
       (Protocol.params ?t ~n_procs:2 ~f ())
   in
-  fun () -> ignore (Dfs.explore ~max_executions:10_000 ~max_witnesses:max_int setup)
+  exploration ~max_executions:10_000 setup
 
 let relaxed_queue_run ~k ~p =
   let open Ffault_objects in
@@ -400,107 +405,124 @@ let dist_run ~workers ~status ~scrape =
 
 (* ---- benchmark groups ---- *)
 
-let group name tests = (name, Test.make_grouped ~name (List.map (fun (n, f) -> Test.make ~name:n (Staged.stage f)) tests))
+(* A row is (name, trials one run performs, run). A trial is one engine
+   execution — one adversarial consensus run — or, for netsim, one trial
+   of the simulated campaign; runs/s times trials/run is trials/s. *)
+let row name trials run = (name, Lazy.from_val trials, run)
+let explored name (trials, run) = (name, trials, run)
+
+let group name tests =
+  ( name,
+    List.map (fun (n, trials, _) -> (name ^ "/" ^ n, trials)) tests,
+    Test.make_grouped ~name (List.map (fun (n, _, f) -> Test.make ~name:n (Staged.stage f)) tests)
+  )
 
 let groups =
   [
-    group "e1" [ ("fig1/n=2/always-faults", fig1_run) ];
+    group "e1" [ row "fig1/n=2/always-faults" 1 fig1_run ];
     group "e2"
       [
-        ("fig2/f=1/n=4", fig2_run ~f:1 ~n:4);
-        ("fig2/f=2/n=4", fig2_run ~f:2 ~n:4);
-        ("fig2/f=4/n=4", fig2_run ~f:4 ~n:4);
-        ("fig2/f=8/n=4", fig2_run ~f:8 ~n:4);
-        ("fig2/f=2/n=2", fig2_run ~f:2 ~n:2);
-        ("fig2/f=2/n=8", fig2_run ~f:2 ~n:8);
+        row "fig2/f=1/n=4" 1 (fig2_run ~f:1 ~n:4);
+        row "fig2/f=2/n=4" 1 (fig2_run ~f:2 ~n:4);
+        row "fig2/f=4/n=4" 1 (fig2_run ~f:4 ~n:4);
+        row "fig2/f=8/n=4" 1 (fig2_run ~f:8 ~n:4);
+        row "fig2/f=2/n=2" 1 (fig2_run ~f:2 ~n:2);
+        row "fig2/f=2/n=8" 1 (fig2_run ~f:2 ~n:8);
       ];
     group "e3"
       [
-        ("fig3/f=1/t=1/n=2", fig3_run ~f:1 ~t:1 ~n:2);
-        ("fig3/f=2/t=1/n=3", fig3_run ~f:2 ~t:1 ~n:3);
-        ("fig3/f=2/t=2/n=3", fig3_run ~f:2 ~t:2 ~n:3);
-        ("fig3/f=3/t=1/n=4", fig3_run ~f:3 ~t:1 ~n:4);
-        ("fig3/f=3/t=2/n=4", fig3_run ~f:3 ~t:2 ~n:4);
+        row "fig3/f=1/t=1/n=2" 1 (fig3_run ~f:1 ~t:1 ~n:2);
+        row "fig3/f=2/t=1/n=3" 1 (fig3_run ~f:2 ~t:1 ~n:3);
+        row "fig3/f=2/t=2/n=3" 1 (fig3_run ~f:2 ~t:2 ~n:3);
+        row "fig3/f=3/t=1/n=4" 1 (fig3_run ~f:3 ~t:1 ~n:4);
+        row "fig3/f=3/t=2/n=4" 1 (fig3_run ~f:3 ~t:2 ~n:4);
       ];
     group "e4"
       [
-        ("dfs/sweep1/n=3", dfs_run ~objects:1 ~n:3);
-        ("dfs/sweep2/n=3", dfs_run ~objects:2 ~n:3);
+        explored "dfs/sweep1/n=3" (dfs_run ~objects:1 ~n:3);
+        explored "dfs/sweep2/n=3" (dfs_run ~objects:2 ~n:3);
       ];
     group "e5"
       [
-        ("covering/f=1", covering_run ~f:1);
-        ("covering/f=2", covering_run ~f:2);
-        ("covering/f=4", covering_run ~f:4);
+        row "covering/f=1" 1 (covering_run ~f:1);
+        row "covering/f=2" 1 (covering_run ~f:2);
+        row "covering/f=4" 1 (covering_run ~f:4);
       ];
-    group "e6" [ ("hierarchy-row/f=1", hierarchy_row ~f:1); ("hierarchy-row/f=2", hierarchy_row ~f:2) ];
+    group "e6"
+      [
+        row "hierarchy-row/f=1" 21 (hierarchy_row ~f:1);
+        row "hierarchy-row/f=2" 21 (hierarchy_row ~f:2);
+      ];
     group "e8"
       [
-        ("silent-retry/t=1", silent_retry_run ~t:1);
-        ("silent-retry/t=5", silent_retry_run ~t:5);
+        row "silent-retry/t=1" 1 (silent_retry_run ~t:1);
+        row "silent-retry/t=5" 1 (silent_retry_run ~t:5);
       ];
     group "e9"
       [
-        ("universal/n=3/ops=2/f=1", universal_counter_run ~n:3 ~ops:2 ~f:1);
-        ("universal/n=4/ops=3/f=2", universal_counter_run ~n:4 ~ops:3 ~f:2);
+        row "universal/n=3/ops=2/f=1" 1 (universal_counter_run ~n:3 ~ops:2 ~f:1);
+        row "universal/n=4/ops=3/f=2" 1 (universal_counter_run ~n:4 ~ops:3 ~f:2);
       ];
-    group "e7" [ ("forged-corruption-vs-fig3", forge_run) ];
-    group "e10" [ ("degradation-profile/50-runs", degradation_run) ];
-    group "e11" [ ("mixed-faults/50-runs", mixed_run) ];
-    group "e12" [ ("failure-rate-point/100-runs", curve_point_run) ];
+    group "e7" [ row "forged-corruption-vs-fig3" 1 forge_run ];
+    group "e10" [ row "degradation-profile/50-runs" 50 degradation_run ];
+    group "e11" [ row "mixed-faults/50-runs" 50 mixed_run ];
+    group "e12" [ row "failure-rate-point/100-runs" 100 curve_point_run ];
     group "e13"
       [
-        ("tas-dfs/fault-free", tas_dfs_run ~silent:false);
-        ("tas-dfs/silent", tas_dfs_run ~silent:true);
+        explored "tas-dfs/fault-free" (tas_dfs_run ~silent:false);
+        explored "tas-dfs/silent" (tas_dfs_run ~silent:true);
       ];
     group "e14"
       [
-        ("relaxed-queue/k=2/p=0.3", relaxed_queue_run ~k:2 ~p:0.3);
-        ("relaxed-queue/k=8/p=0.5", relaxed_queue_run ~k:8 ~p:0.5);
+        row "relaxed-queue/k=2/p=0.3" 1 (relaxed_queue_run ~k:2 ~p:0.3);
+        row "relaxed-queue/k=8/p=0.5" 1 (relaxed_queue_run ~k:8 ~p:0.5);
       ];
     group "campaign"
       [
-        ("campaign/fig3-256/1dom", campaign_run ~domains:1);
-        ("campaign/fig3-256/2dom", campaign_run ~domains:2);
-        ("campaign/fig3-256/4dom", campaign_run ~domains:4);
+        row "campaign/fig3-256/1dom" 256 (campaign_run ~domains:1);
+        row "campaign/fig3-256/2dom" 256 (campaign_run ~domains:2);
+        row "campaign/fig3-256/4dom" 256 (campaign_run ~domains:4);
       ];
     group "netsim"
       [
-        ("netsim/3w-200t", netsim_run ~workers:3 ~trials:200 ~seed:0x11L);
-        ("netsim/3w-200t/seed2", netsim_run ~workers:3 ~trials:200 ~seed:0x22L);
-        ("netsim/6w-400t", netsim_run ~workers:6 ~trials:400 ~seed:0x33L);
+        row "netsim/3w-200t" 200 (netsim_run ~workers:3 ~trials:200 ~seed:0x11L);
+        row "netsim/3w-200t/seed2" 200 (netsim_run ~workers:3 ~trials:200 ~seed:0x22L);
+        row "netsim/6w-400t" 400 (netsim_run ~workers:6 ~trials:400 ~seed:0x33L);
       ];
     group "dist"
       [
-        ("dist/2w-128t", dist_run ~workers:2 ~status:false ~scrape:false);
-        ("dist/2w-128t/status", dist_run ~workers:2 ~status:true ~scrape:false);
-        ("dist/2w-128t/status+scrape", dist_run ~workers:2 ~status:true ~scrape:true);
+        row "dist/2w-128t" 128 (dist_run ~workers:2 ~status:false ~scrape:false);
+        row "dist/2w-128t/status" 128 (dist_run ~workers:2 ~status:true ~scrape:false);
+        row "dist/2w-128t/status+scrape" 128 (dist_run ~workers:2 ~status:true ~scrape:true);
       ];
     group "recover"
       [
-        ("recover/rec-tas-256/1dom", recover_run ~protocol:"rec-tas" ~expect_clean:true ~domains:1);
-        ("recover/rec-tas-256/4dom", recover_run ~protocol:"rec-tas" ~expect_clean:true ~domains:4);
-        ("recover/rec-cas-256/1dom", recover_run ~protocol:"rec-cas" ~expect_clean:true ~domains:1);
-        ( "recover/naive-tas-256/1dom",
-          recover_run ~protocol:"naive-tas" ~expect_clean:false ~domains:1 );
+        row "recover/rec-tas-256/1dom" 256
+          (recover_run ~protocol:"rec-tas" ~expect_clean:true ~domains:1);
+        row "recover/rec-tas-256/4dom" 256
+          (recover_run ~protocol:"rec-tas" ~expect_clean:true ~domains:4);
+        row "recover/rec-cas-256/1dom" 256
+          (recover_run ~protocol:"rec-cas" ~expect_clean:true ~domains:1);
+        row "recover/naive-tas-256/1dom" 256
+          (recover_run ~protocol:"naive-tas" ~expect_clean:false ~domains:1);
       ];
     group "b1"
       [
-        ("sim-steps/n=2/10k", sim_throughput ~n:2 ~steps:10_000);
-        ("sim-steps/n=8/10k", sim_throughput ~n:8 ~steps:10_000);
+        row "sim-steps/n=2/10k" 1 (sim_throughput ~n:2 ~steps:10_000);
+        row "sim-steps/n=8/10k" 1 (sim_throughput ~n:8 ~steps:10_000);
       ];
     group "b3"
       [
-        ( "mc/single-cas/4dom",
-          multicore_run ~protocol:R.Consensus_mc.Single_cas ~domains:4 ~p:0.0 ~seed:1L );
-        ( "mc/sweep3/4dom/p=0.3",
-          multicore_run ~protocol:(R.Consensus_mc.Sweep 3) ~domains:4 ~p:0.3 ~seed:2L );
-        ( "mc/staged-f2-t1/2dom/p=0.3",
-          multicore_run ~protocol:(R.Consensus_mc.Staged { f = 2; t = 1 }) ~domains:2 ~p:0.3
-            ~seed:3L );
-        ( "mc/staged-f2-t1/4dom/p=0.3",
-          multicore_run ~protocol:(R.Consensus_mc.Staged { f = 2; t = 1 }) ~domains:4 ~p:0.3
-            ~seed:4L );
+        row "mc/single-cas/4dom" 1
+          (multicore_run ~protocol:R.Consensus_mc.Single_cas ~domains:4 ~p:0.0 ~seed:1L);
+        row "mc/sweep3/4dom/p=0.3" 1
+          (multicore_run ~protocol:(R.Consensus_mc.Sweep 3) ~domains:4 ~p:0.3 ~seed:2L);
+        row "mc/staged-f2-t1/2dom/p=0.3" 1
+          (multicore_run ~protocol:(R.Consensus_mc.Staged { f = 2; t = 1 }) ~domains:2 ~p:0.3
+            ~seed:3L);
+        row "mc/staged-f2-t1/4dom/p=0.3" 1
+          (multicore_run ~protocol:(R.Consensus_mc.Staged { f = 2; t = 1 }) ~domains:4 ~p:0.3
+            ~seed:4L);
       ];
   ]
 
@@ -535,21 +557,27 @@ let pretty ns =
   else Fmt.str "%.0f ns" ns
 
 (* Machine-readable sibling of the printed table: BENCH_<group>.json, one
-   record per test. trials_per_s mirrors the campaign summary's rate so
-   the two are directly comparable. A real run writes into the working
-   directory (the committed baselines live at the repo root); a smoke
-   run writes under _build/bench-smoke/ and says "smoke": true, so it can
-   never replace a baseline. *)
+   record per test. [runs_per_s] is 1e9 / ns_per_op; [trials_per_s]
+   multiplies it by the row's [trials_per_run], so it counts trials like
+   the campaign summary's rate does. The top level records the core
+   count and compiler the numbers came from. A real run writes into the
+   working directory (the committed baselines live at the repo root); a
+   smoke run writes under _build/bench-smoke/ and says "smoke": true, so
+   it can never replace a baseline. *)
 let write_json gname rows =
   let module Json = Ffault_campaign.Json in
-  let record (name, iters, ns) =
+  let rate ns per =
+    if Float.is_nan ns || ns <= 0.0 then Json.Null else Json.Float (per *. 1e9 /. ns)
+  in
+  let record (name, iters, ns, trials) =
     Json.Obj
       [
         ("name", Json.Str name);
         ("iters", Json.Int iters);
         ("ns_per_op", if Float.is_nan ns then Json.Null else Json.Float ns);
-        ( "trials_per_s",
-          if Float.is_nan ns || ns <= 0.0 then Json.Null else Json.Float (1e9 /. ns) );
+        ("trials_per_run", Json.Int trials);
+        ("runs_per_s", rate ns 1.0);
+        ("trials_per_s", rate ns (float_of_int trials));
       ]
   in
   let dir = if !smoke then Filename.concat "_build" "bench-smoke" else Filename.current_dir_name in
@@ -562,12 +590,14 @@ let write_json gname rows =
               [
                 ("group", Json.Str gname);
                 ("smoke", Json.Bool !smoke);
+                ("nproc", Json.Int (Domain.recommended_domain_count ()));
+                ("ocaml_version", Json.Str Sys.ocaml_version);
                 ("results", Json.List (List.map record rows));
               ]));
       output_char oc '\n');
   Fmt.pr "  wrote %s@." path
 
-let run_group (gname, test) =
+let run_group (gname, trials, test) =
   Fmt.pr "@.== group %s ==@." gname;
   let raw, results = benchmark test in
   let rows =
@@ -578,11 +608,12 @@ let run_group (gname, test) =
           | Some b -> b.Benchmark.stats.Benchmark.samples
           | None -> 0
         in
-        (name, iters, ns_per_run ols) :: acc)
+        let trials = Lazy.force (List.assoc name trials) in
+        (name, iters, ns_per_run ols, trials) :: acc)
       results []
   in
-  let rows = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) rows in
-  List.iter (fun (name, _, ns) -> Fmt.pr "  %-36s %12s/run@." name (pretty ns)) rows;
+  let rows = List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b) rows in
+  List.iter (fun (name, _, ns, _) -> Fmt.pr "  %-36s %12s/run@." name (pretty ns)) rows;
   write_json gname rows
 
 let () =
@@ -593,7 +624,7 @@ let () =
     match names with
     | _ :: _ ->
         let wanted = List.map String.lowercase_ascii names in
-        List.filter (fun (g, _) -> List.mem g wanted) groups
+        List.filter (fun (g, _, _) -> List.mem g wanted) groups
     | [] -> groups
   in
   Fmt.pr "ffault benchmark harness — one run = one full adversarial consensus (or analysis)@.";

@@ -5,6 +5,7 @@ module Shrink = Ffault_verify.Shrink
 module Dfs = Ffault_verify.Dfs
 module Injector = Ffault_fault.Injector
 module Crash_plan = Ffault_recover.Crash_plan
+module Clock = Ffault_telemetry.Clock
 
 (* One trial = one engine run driven by a recorded random decision
    vector. Recording follows the Dfs convention exactly — an index into
@@ -41,10 +42,10 @@ let run_recorded ?interrupt ?crash_plan setup ~rate ~seed =
   (* Per-process operation counters: the crash plan keys its schedule on
      (proc, k) with k the process's 0-based op index, so every outcome
      choice — branchable or forced — advances the counter. *)
-  let op_counts = Hashtbl.create 8 in
+  let op_counts = Array.make setup.Check.params.Ffault_consensus.Protocol.n_procs 0 in
   let next_k proc =
-    let k = Option.value (Hashtbl.find_opt op_counts proc) ~default:0 in
-    Hashtbl.replace op_counts proc (k + 1);
+    let k = op_counts.(proc) in
+    op_counts.(proc) <- k + 1;
     k
   in
   let driver =
@@ -112,7 +113,7 @@ type result = {
 }
 
 let run_trial ?(shrink = true) ?interrupt ?crash_plan setup ~rate ~seed =
-  let started = Unix.gettimeofday () in
+  let started = Clock.now_ns () in
   let report, decisions = run_recorded ?interrupt ?crash_plan setup ~rate ~seed in
   (* A cancelled run must never shrink or carry a witness: its decision
      vector was truncated by wall-clock, so it neither replays
@@ -125,7 +126,7 @@ let run_trial ?(shrink = true) ?interrupt ?crash_plan setup ~rate ~seed =
       | Some (shrunk, _) -> Some shrunk
       | None -> Some decisions
   in
-  let wall_ns = int_of_float ((Unix.gettimeofday () -. started) *. 1e9) in
+  let wall_ns = Clock.now_ns () - started in
   { report; decisions; witness; wall_ns }
 
 let replay setup decisions = Dfs.replay setup decisions

@@ -4,6 +4,7 @@ module Journal = Campaign.Journal
 module Checkpoint = Campaign.Checkpoint
 module Pool = Campaign.Pool
 module Metrics = Ffault_telemetry.Metrics
+module Clock = Ffault_telemetry.Clock
 module Events = Ffault_telemetry.Events
 
 type config = {
@@ -141,7 +142,7 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?(on_skip = fun () -> ())
        | Some ep -> Fmt.str " (status on %s)" (Transport.endpoint_to_string ep)
        | None -> ""));
   for _ = 1 to Checkpoint.completed st do on_skip () done;
-  let started = Unix.gettimeofday () in
+  let started = Clock.now_ns () in
   let step () =
     let fds =
       (Transport.listener_fd listener
@@ -190,7 +191,7 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?(on_skip = fun () -> ())
   | () ->
       Events.emit events ~scope:"dist" "campaign complete";
       finish ();
-      let summary = Core.summary core ~wall_s:(Unix.gettimeofday () -. started) in
+      let summary = Core.summary core ~wall_s:(Clock.ns_to_s (Clock.now_ns () - started)) in
       Campaign.Telemetry_io.write ~dir (Metrics.snapshot ());
       Checkpoint.write_atomic
         ~path:(Checkpoint.workers_path ~dir)

@@ -131,6 +131,42 @@ type status =
 let outcome_differs (a : Semantics.outcome) (b : Semantics.outcome) =
   not (Value.equal a.post_state b.post_state && Value.equal a.response b.response)
 
+(* Shared menus and menu tails: the step loop hands out these
+   preallocated lists instead of building a fresh menu per step. *)
+let correct_only = [ Correct_outcome ]
+let inject_overriding = [ Inject (Fault_kind.Overriding, None) ]
+let inject_silent = [ Inject (Fault_kind.Silent, None) ]
+let inject_nonresponsive = [ Inject (Fault_kind.Nonresponsive, None) ]
+let crash_vanish = [ Crash_point Crash_plan.Vanish ]
+let crash_vanish_or_linearize = [ Crash_point Crash_plan.Vanish; Crash_point Crash_plan.Linearize ]
+
+let rec mem_choice c = function
+  | [] -> false
+  | x :: rest -> equal_outcome_choice c x || mem_choice c rest
+
+(* Whether fault [fk] (with [payload]) would be observable at this step:
+   a faulty outcome equal to the correct one is no fault (Definition 1). *)
+let faulty_differs ~kind ~pre op correct fk payload =
+  match Faulty_semantics.apply fk ?payload ~kind ~state:pre op with
+  | Ok (Faulty_semantics.Outcome o) -> outcome_differs o correct
+  | Ok Faulty_semantics.Hangs -> true
+  | Error _ -> false
+
+(* This step's observable faults of kind [fk], as menu entries. *)
+let faults_of_kind ~palette ~kind ~pre op correct fk =
+  match fk with
+  | Fault_kind.Overriding ->
+      if faulty_differs ~kind ~pre op correct fk None then inject_overriding else []
+  | Fault_kind.Silent -> if faulty_differs ~kind ~pre op correct fk None then inject_silent else []
+  | Fault_kind.Nonresponsive -> inject_nonresponsive
+  | Fault_kind.Invisible | Fault_kind.Arbitrary | Fault_kind.Relaxation ->
+      List.filter_map
+        (fun payload ->
+          if faulty_differs ~kind ~pre op correct fk (Some payload) then
+            Some (Inject (fk, Some payload))
+          else None)
+        palette
+
 let run_with_driver ?recovery cfg driver ~bodies =
   let world = cfg.world in
   let n = World.n_procs world in
@@ -143,7 +179,8 @@ let run_with_driver ?recovery cfg driver ~bodies =
   let steps_taken = Array.make n 0 in
   (* Per-process most recent completed state-changing op (object index,
      pre, post): the write the lossy persistence mode may drop when that
-     process crashes. *)
+     process crashes. Only such runs read it, so only they record it. *)
+  let track_writes = Option.is_some recovery && Persistence.lossy cfg.persistence in
   let last_write = Array.make n None in
   let trace_rev = ref [] in
   let step_counter = ref 0 in
@@ -154,41 +191,60 @@ let run_with_driver ?recovery cfg driver ~bodies =
   let cas_attempts = ref 0 in
   let emit ev = trace_rev := ev :: !trace_rev in
 
+  (* One handler per process, built once: a [perform] stores the invoked
+     operation in [invoked_*] and returns the process's preallocated
+     parking closure, so suspending allocates only the [Pending] status.
+     Resumptions via [Effect.Deep.continue] re-enter the same handler. *)
+  let invoked_obj = Array.make n (Obj_id.of_int 0) in
+  let invoked_op = Array.make n Op.Read in
+  let parkers : ((Value.t, unit) Effect.Deep.continuation -> unit) option array =
+    Array.init n (fun proc ->
+        Some
+          (fun k ->
+            statuses.(proc) <- Pending { obj = invoked_obj.(proc); op = invoked_op.(proc); k }))
+  in
+  let handlers =
+    Array.init n (fun proc ->
+        {
+          Effect.Deep.retc = (fun v -> statuses.(proc) <- Finished v);
+          exnc = (fun e -> statuses.(proc) <- Failed (Printexc.to_string e));
+          effc =
+            (fun (type a) (eff : a Effect.t) :
+                 ((a, unit) Effect.Deep.continuation -> unit) option ->
+              match eff with
+              | Proc.Invoke (obj, op) ->
+                  invoked_obj.(proc) <- obj;
+                  invoked_op.(proc) <- op;
+                  parkers.(proc)
+              | _ -> None);
+        })
+  in
   (* Launch a body; it runs to its first operation (captured as Pending),
-     to completion, or to an exception. Resumptions via
-     [Effect.Deep.continue] re-enter the same handler. *)
-  let start proc body =
-    let open Effect.Deep in
-    match_with body ()
-      {
-        retc = (fun v -> statuses.(proc) <- Finished v);
-        exnc = (fun e -> statuses.(proc) <- Failed (Printexc.to_string e));
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Proc.Invoke (obj, op) ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    statuses.(proc) <- Pending { obj; op; k })
-            | _ -> None);
-      }
+     to completion, or to an exception. *)
+  let start proc body = Effect.Deep.match_with body () handlers.(proc) in
+  (* Trace the end of a process that just ran (after a start or resume). *)
+  let note_exit proc =
+    match statuses.(proc) with
+    | Finished v -> emit (Trace.Decided { step = !step_counter; proc; value = v })
+    | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc; error = msg })
+    | Pending _ | Hung_at _ | Limited -> ()
   in
   Array.iteri
     (fun i body ->
       start i body;
-      match statuses.(i) with
-      | Finished v -> emit (Trace.Decided { step = !step_counter; proc = i; value = v })
-      | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc = i; error = msg })
-      | Pending _ | Hung_at _ | Limited -> ())
+      note_exit i)
     bodies;
 
-  let enabled () =
+  let compute_enabled () =
     let acc = ref [] in
     for i = n - 1 downto 0 do
       match statuses.(i) with Pending _ -> acc := i :: !acc | _ -> ()
     done;
     !acc
   in
+  (* The enabled list only changes when a process leaves [Pending]; the
+     loop recomputes it then and hands the same list out otherwise. *)
+  let enabled = ref (compute_enabled ()) in
 
   (* Menu of observable, budget-permitted faulty outcomes for this step,
      headed by the correct outcome. Crash points ride the same menu: when
@@ -196,8 +252,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
      invoking process may crash here instead of completing — vanishing
      the op, or (when the persistence mode keeps committed effects and
      the op has one) linearizing it with the response lost. *)
-  let options_for proc obj op pre correct =
-    let kind = World.kind_of world obj in
+  let options_for proc obj op ~kind pre correct =
     let crash_options =
       match recovery with
       | None -> []
@@ -206,54 +261,41 @@ let run_with_driver ?recovery cfg driver ~bodies =
           else if
             Persistence.lossy cfg.persistence
             || Value.equal correct.Semantics.post_state pre
-          then [ Crash_point Crash_plan.Vanish ]
-          else [ Crash_point Crash_plan.Vanish; Crash_point Crash_plan.Linearize ]
+          then crash_vanish
+          else crash_vanish_or_linearize
     in
     let fault_options =
       if not (Budget.can_fault cfg.budget obj) then []
       else
-        let faulty_differs fk payload =
-          match Faulty_semantics.apply fk ?payload ~kind ~state:pre op with
-          | Ok (Faulty_semantics.Outcome o) -> outcome_differs o correct
-          | Ok Faulty_semantics.Hangs -> true
-          | Error _ -> false
-        in
-        let per_kind fk =
-          match fk with
-          | Fault_kind.Overriding | Fault_kind.Silent ->
-              if faulty_differs fk None then [ Inject (fk, None) ] else []
-          | Fault_kind.Nonresponsive -> [ Inject (fk, None) ]
-          | Fault_kind.Invisible | Fault_kind.Arbitrary | Fault_kind.Relaxation ->
-              List.filter_map
-                (fun payload ->
-                  if faulty_differs fk (Some payload) then Some (Inject (fk, Some payload))
-                  else None)
-                cfg.payload_palette
-        in
-        List.concat_map per_kind cfg.allowed_faults
+        let palette = cfg.payload_palette in
+        match cfg.allowed_faults with
+        | [ fk ] -> faults_of_kind ~palette ~kind ~pre op correct fk
+        | kinds -> List.concat_map (faults_of_kind ~palette ~kind ~pre op correct) kinds
     in
-    (Correct_outcome :: fault_options) @ crash_options
+    match fault_options, crash_options with
+    | [], [] -> correct_only
+    | _, [] -> Correct_outcome :: fault_options
+    | _, _ -> (Correct_outcome :: fault_options) @ crash_options
   in
 
   (* A driver choice is honored if it is in the menu, or if it is a
      payload-carrying fault that the engine can validate directly (lets
      strategy-mode injectors use payloads outside the exploration
      palette). Anything else executes correctly. *)
-  let validate_choice choice options obj op pre correct =
+  let validate_choice choice options obj op ~kind pre correct =
     match choice with
     | Correct_outcome -> Correct_outcome
     | Crash_point _ ->
         (* Crash points are never validated out of band: the menu already
            encodes the budget, recovery-entry, and persistence gates. *)
-        if List.exists (equal_outcome_choice choice) options then choice else Correct_outcome
+        if mem_choice choice options then choice else Correct_outcome
     | Inject (fk, payload) -> (
-        if List.exists (equal_outcome_choice choice) options then choice
+        if mem_choice choice options then choice
         else
           match fk with
           | Fault_kind.Invisible | Fault_kind.Arbitrary | Fault_kind.Relaxation
             when List.exists (Fault_kind.equal fk) cfg.allowed_faults
                  && Budget.can_fault cfg.budget obj -> (
-              let kind = World.kind_of world obj in
               match Faulty_semantics.apply fk ?payload ~kind ~state:pre op with
               | Ok (Faulty_semantics.Outcome o) when outcome_differs o correct -> choice
               | Ok _ | Error _ -> Correct_outcome)
@@ -262,11 +304,85 @@ let run_with_driver ?recovery cfg driver ~bodies =
               Correct_outcome)
   in
 
+  (* Complete [proc]'s pending [op] on [obj] with [outcome] and resume it
+     to its next operation. *)
+  let continue_with proc obj op k pre (outcome : Semantics.outcome) injected =
+    let oi = Obj_id.to_int obj in
+    let post = outcome.Semantics.post_state in
+    obj_states.(oi) <- post;
+    if track_writes && not (Value.equal pre post) then last_write.(proc) <- Some (oi, pre, post);
+    emit
+      (Trace.Op_step
+         {
+           step = !step_counter;
+           proc;
+           obj;
+           op;
+           pre_state = pre;
+           post_state = post;
+           response = outcome.Semantics.response;
+           injected;
+         });
+    Effect.Deep.continue k outcome.Semantics.response;
+    note_exit proc
+  in
+
+  (* Crash [proc] at its pending [op] on [obj] and restart it at its
+     recovery entry. *)
+  let crash_restart proc obj op pre (correct : Semantics.outcome) effect =
+    Budget.charge_crash cfg.budget ~proc;
+    Metrics.incr m_crashes;
+    let oi = Obj_id.to_int obj in
+    let post =
+      match effect with
+      | Crash_plan.Vanish -> pre
+      | Crash_plan.Linearize -> correct.Semantics.post_state
+    in
+    obj_states.(oi) <- post;
+    (* The captured continuation is dropped, never resumed: that IS the
+       crash — program counter and locals are gone (same mechanism as a
+       nonresponsive hang, but the process comes back below). *)
+    emit
+      (Trace.Proc_crash
+         { step = !step_counter; proc; obj; op; pre_state = pre; post_state = post; effect });
+    (* Lossy persistence: the crashing process's most recent completed
+       write may not have been flushed — roll it back if the object still
+       holds that exact value. *)
+    (if track_writes then
+       match last_write.(proc) with
+       | Some (wi, wpre, wpost)
+         when Value.equal obj_states.(wi) wpost && not (Value.equal wpre wpost) ->
+           obj_states.(wi) <- wpre;
+           emit
+             (Trace.Nvm_loss
+                { step = !step_counter; obj = Obj_id.of_int wi; before = wpost; after = wpre })
+       | _ -> ());
+    (* Volatile objects (not NVM-tagged) do not survive the crash: they
+       revert to their initial value. *)
+    (match cfg.persistence with
+    | Persistence.Persist_only _ ->
+        for i = 0 to n_objs - 1 do
+          let id = Obj_id.of_int i in
+          if not (Persistence.survives cfg.persistence id) then begin
+            let before = obj_states.(i) in
+            let init = World.init_of world id in
+            if not (Value.equal before init) then begin
+              obj_states.(i) <- init;
+              emit (Trace.Nvm_loss { step = !step_counter; obj = id; before; after = init })
+            end
+          end
+        done
+    | Persistence.Persist_all | Persistence.Persist_lossy -> ());
+    last_write.(proc) <- None;
+    emit (Trace.Restart { step = !step_counter; proc });
+    start proc ((Option.get recovery) proc);
+    note_exit proc
+  in
+
   let exec_step proc =
     match statuses.(proc) with
     | Pending { obj; op; k } -> (
-        let oi = Obj_id.to_int obj in
-        let pre = obj_states.(oi) in
+        let pre = obj_states.(Obj_id.to_int obj) in
         let kind = World.kind_of world obj in
         if Op.is_cas op then incr cas_attempts;
         match Semantics.apply kind ~state:pre op with
@@ -274,7 +390,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
             let error = Fmt.str "illegal operation: %a" Semantics.pp_error e in
             statuses.(proc) <- Failed error;
             emit (Trace.Crashed { step = !step_counter; proc; error })
-        | Ok correct ->
+        | Ok correct -> (
             let ctx =
               {
                 Injector.obj;
@@ -286,91 +402,13 @@ let run_with_driver ?recovery cfg driver ~bodies =
                 budget = cfg.budget;
               }
             in
-            let options = options_for proc obj op pre correct in
+            let options = options_for proc obj op ~kind pre correct in
             let choice = driver.choose_outcome ctx ~options in
-            let choice = validate_choice choice options obj op pre correct in
+            let choice = validate_choice choice options obj op ~kind pre correct in
             incr op_counter;
-            let continue_with outcome injected =
-              obj_states.(oi) <- outcome.Semantics.post_state;
-              if not (Value.equal pre outcome.Semantics.post_state) then
-                last_write.(proc) <- Some (oi, pre, outcome.Semantics.post_state);
-              emit
-                (Trace.Op_step
-                   {
-                     step = !step_counter;
-                     proc;
-                     obj;
-                     op;
-                     pre_state = pre;
-                     post_state = outcome.Semantics.post_state;
-                     response = outcome.Semantics.response;
-                     injected;
-                   });
-              Effect.Deep.continue k outcome.Semantics.response;
-              match statuses.(proc) with
-              | Finished v -> emit (Trace.Decided { step = !step_counter; proc; value = v })
-              | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc; error = msg })
-              | Pending _ | Hung_at _ | Limited -> ()
-            in
-            let crash_restart effect =
-              Budget.charge_crash cfg.budget ~proc;
-              Metrics.incr m_crashes;
-              let post =
-                match effect with
-                | Crash_plan.Vanish -> pre
-                | Crash_plan.Linearize -> correct.Semantics.post_state
-              in
-              obj_states.(oi) <- post;
-              (* The captured continuation [k] is dropped, never resumed:
-                 that IS the crash — program counter and locals are gone
-                 (same mechanism as a nonresponsive hang, but the process
-                 comes back below). *)
-              emit
-                (Trace.Proc_crash
-                   { step = !step_counter; proc; obj; op; pre_state = pre; post_state = post;
-                     effect });
-              (* Lossy persistence: the crashing process's most recent
-                 completed write may not have been flushed — roll it back
-                 if the object still holds that exact value. *)
-              (if Persistence.lossy cfg.persistence then
-                 match last_write.(proc) with
-                 | Some (wi, wpre, wpost)
-                   when Value.equal obj_states.(wi) wpost && not (Value.equal wpre wpost) ->
-                     obj_states.(wi) <- wpre;
-                     emit
-                       (Trace.Nvm_loss
-                          { step = !step_counter; obj = Obj_id.of_int wi; before = wpost;
-                            after = wpre })
-                 | _ -> ());
-              (* Volatile objects (not NVM-tagged) do not survive the
-                 crash: they revert to their initial value. *)
-              (match cfg.persistence with
-              | Persistence.Persist_only _ ->
-                  for i = 0 to n_objs - 1 do
-                    let id = Obj_id.of_int i in
-                    if not (Persistence.survives cfg.persistence id) then begin
-                      let before = obj_states.(i) in
-                      let init = World.init_of world id in
-                      if not (Value.equal before init) then begin
-                        obj_states.(i) <- init;
-                        emit
-                          (Trace.Nvm_loss
-                             { step = !step_counter; obj = id; before; after = init })
-                      end
-                    end
-                  done
-              | Persistence.Persist_all | Persistence.Persist_lossy -> ());
-              last_write.(proc) <- None;
-              emit (Trace.Restart { step = !step_counter; proc });
-              start proc ((Option.get recovery) proc);
-              match statuses.(proc) with
-              | Finished v -> emit (Trace.Decided { step = !step_counter; proc; value = v })
-              | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc; error = msg })
-              | Pending _ | Hung_at _ | Limited -> ()
-            in
-            (match choice with
-            | Correct_outcome -> continue_with correct None
-            | Crash_point effect -> crash_restart effect
+            match choice with
+            | Correct_outcome -> continue_with proc obj op k pre correct None
+            | Crash_point effect -> crash_restart proc obj op pre correct effect
             | Inject (fk, payload) -> (
                 match Faulty_semantics.apply fk ?payload ~kind ~state:pre op with
                 | Error e ->
@@ -385,31 +423,26 @@ let run_with_driver ?recovery cfg driver ~bodies =
                 | Ok (Faulty_semantics.Outcome o) ->
                     Budget.charge cfg.budget obj;
                     Metrics.incr (m_fault_of fk);
-                    continue_with o (Some fk))))
+                    continue_with proc obj op k pre o (Some fk))))
     | Finished _ | Hung_at _ | Limited | Failed _ ->
         invalid_arg "Engine.exec_step: process not pending"
   in
 
+  let state_of id = obj_states.(Obj_id.to_int id) in
+  let apply_corruption { Data_fault.obj; value } =
+    let oi = Obj_id.to_int obj in
+    let before = obj_states.(oi) in
+    (* No-op corruptions are unobservable; over-budget ones throttle. *)
+    if (not (Value.equal before value)) && Budget.can_fault cfg.budget obj then begin
+      Budget.charge cfg.budget obj;
+      Metrics.incr m_corruptions;
+      obj_states.(oi) <- value;
+      emit (Trace.Corruption { step = !step_counter; obj; before; after = value })
+    end
+  in
   let apply_data_faults () =
-    let ctx =
-      {
-        Data_fault.step = !step_counter;
-        state_of = (fun id -> obj_states.(Obj_id.to_int id));
-        budget = cfg.budget;
-      }
-    in
-    List.iter
-      (fun { Data_fault.obj; value } ->
-        let oi = Obj_id.to_int obj in
-        let before = obj_states.(oi) in
-        (* No-op corruptions are unobservable; over-budget ones throttle. *)
-        if (not (Value.equal before value)) && Budget.can_fault cfg.budget obj then begin
-          Budget.charge cfg.budget obj;
-          Metrics.incr m_corruptions;
-          obj_states.(oi) <- value;
-          emit (Trace.Corruption { step = !step_counter; obj; before; after = value })
-        end)
-      (driver.after_step ctx)
+    List.iter apply_corruption
+      (driver.after_step { Data_fault.step = !step_counter; state_of; budget = cfg.budget })
   in
 
   let total_limit_hit = ref false in
@@ -425,7 +458,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
     end
   in
   let rec loop () =
-    match enabled () with
+    match !enabled with
     | [] -> ()
     | en ->
         if !step_counter >= cfg.max_total_steps then total_limit_hit := true
@@ -440,6 +473,9 @@ let run_with_driver ?recovery cfg driver ~bodies =
             emit (Trace.Step_limit_hit { step = !step_counter; proc })
           end
           else exec_step proc;
+          (match statuses.(proc) with
+          | Pending _ -> ()
+          | Finished _ | Hung_at _ | Limited | Failed _ -> enabled := compute_enabled ());
           incr step_counter;
           apply_data_faults ();
           loop ()

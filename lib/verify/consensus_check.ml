@@ -34,6 +34,7 @@ type setup = {
   victims : Obj_id.t list option;
   step_slack : int;
   recover : recover_opts option;
+  name : string;
 }
 
 let setup ?inputs ?(allowed_faults = [ Fault.Fault_kind.Overriding ]) ?(payload_palette = [])
@@ -45,7 +46,8 @@ let setup ?inputs ?(allowed_faults = [ Fault.Fault_kind.Overriding ]) ?(payload_
   | Some { crashes_per_proc; _ } when crashes_per_proc < 0 ->
       invalid_arg "Consensus_check.setup: crashes_per_proc < 0"
   | _ -> ());
-  { protocol; params; inputs; allowed_faults; payload_palette; victims; step_slack; recover }
+  let name = Fmt.str "%s %a" protocol.Protocol.name Protocol.pp_params params in
+  { protocol; params; inputs; allowed_faults; payload_palette; victims; step_slack; recover; name }
 
 let crashes_per_proc s =
   match s.recover with None -> 0 | Some r -> r.crashes_per_proc
@@ -97,8 +99,6 @@ let check_result s (r : Engine.result) =
         rest);
   List.rev !violations
 
-let setup_name s = Fmt.str "%s %a" s.protocol.Protocol.name Protocol.pp_params s.params
-
 let recovery_of s =
   if crashes_per_proc s = 0 then None
   else Some (Protocol.recovery_bodies s.protocol s.params ~inputs:s.inputs)
@@ -107,10 +107,10 @@ let run ?interrupt s ~scheduler ~injector ?data_faults () =
   let cfg = engine_config ?interrupt s in
   let bodies = Protocol.bodies s.protocol s.params ~inputs:s.inputs in
   let result = Engine.run cfg ~scheduler ~injector ?data_faults ~bodies () in
-  { violations = check_result s result; result; setup_name = setup_name s }
+  { violations = check_result s result; result; setup_name = s.name }
 
 let run_with_driver ?interrupt s driver =
   let cfg = engine_config ?interrupt s in
   let bodies = Protocol.bodies s.protocol s.params ~inputs:s.inputs in
   let result = Engine.run_with_driver ?recovery:(recovery_of s) cfg driver ~bodies in
-  { violations = check_result s result; result; setup_name = setup_name s }
+  { violations = check_result s result; result; setup_name = s.name }

@@ -57,6 +57,9 @@ type setup = {
           wait-freedom failure *)
   recover : recover_opts option;
       (** crash-restart faults; [None] keeps runs crash-free *)
+  name : string;
+      (** protocol name and params, rendered once by {!setup}; every
+          report's [setup_name] *)
 }
 
 val setup :

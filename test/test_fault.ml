@@ -162,6 +162,89 @@ let test_budget_copy () =
   check Alcotest.int "copy unaffected" 0 (Budget.total_faults c);
   check Alcotest.bool "copy can still fault" true (Budget.can_fault c (oid 0))
 
+let ids b = List.map Obj_id.to_int (Budget.faulty_objects b)
+
+let test_budget_sparse_ids () =
+  let b = Budget.unlimited () in
+  List.iter (fun o -> Budget.charge b (oid o)) [ 1000; 3; 17; 3; 1000; 0; 1000 ];
+  check (Alcotest.list Alcotest.int) "faulty objects ascending" [ 0; 3; 17; 1000 ] (ids b);
+  check Alcotest.int "total faults" 7 (Budget.total_faults b);
+  check (Alcotest.list Alcotest.int) "per-object counts" [ 1; 2; 1; 3; 0; 0 ]
+    (List.map (fun o -> Budget.faults_on b (oid o)) [ 0; 3; 17; 1000; 999; 5000 ]);
+  check Alcotest.string "num_faulty and total in pp"
+    "budget(f=\xe2\x88\x9e, t=\xe2\x88\x9e; charged 7 faults on 4 objects)"
+    (Fmt.str "%a" Budget.pp b)
+
+let test_budget_sparse_victims () =
+  let b =
+    Budget.create ~victims:[ oid 500; oid 7 ] ~max_faulty_objects:2 ~max_faults_per_object:(Some 3)
+      ()
+  in
+  check Alcotest.bool "non-victim between victims" false (Budget.can_fault b (oid 8));
+  for _ = 1 to 3 do
+    Budget.charge b (oid 500)
+  done;
+  Budget.charge b (oid 7);
+  check Alcotest.bool "victim at t" false (Budget.can_fault b (oid 500));
+  check Alcotest.bool "victim below t" true (Budget.can_fault b (oid 7));
+  check (Alcotest.list Alcotest.int) "faulty objects ascending" [ 7; 500 ] (ids b);
+  check Alcotest.int "total faults" 4 (Budget.total_faults b);
+  check Alcotest.string "pp" "budget(f=2, t=3; charged 4 faults on 2 objects)"
+    (Fmt.str "%a" Budget.pp b)
+
+let test_budget_copy_both_tables () =
+  let b =
+    Budget.create ~max_crashes_per_proc:2 ~max_faulty_objects:3 ~max_faults_per_object:None ()
+  in
+  Budget.charge b (oid 1);
+  Budget.charge_crash b ~proc:0;
+  let c = Budget.copy b in
+  Budget.charge b (oid 64);
+  Budget.charge_crash b ~proc:40;
+  Budget.charge c (oid 1);
+  Budget.charge_crash c ~proc:0;
+  check (Alcotest.list Alcotest.int) "original objects" [ 1; 64 ] (ids b);
+  check (Alcotest.list Alcotest.int) "copy objects" [ 1 ] (ids c);
+  check (Alcotest.pair Alcotest.int Alcotest.int) "original faults, crashes" (2, 2)
+    (Budget.total_faults b, Budget.total_crashes b);
+  check (Alcotest.pair Alcotest.int Alcotest.int) "copy faults, crashes" (2, 2)
+    (Budget.total_faults c, Budget.total_crashes c);
+  check (Alcotest.pair Alcotest.int Alcotest.int) "proc 0 crashes: original, copy" (1, 2)
+    (Budget.crashes_on b 0, Budget.crashes_on c 0);
+  check Alcotest.int "copy never saw proc 40" 0 (Budget.crashes_on c 40)
+
+let test_budget_pp () =
+  let fresh = Budget.create ~max_faulty_objects:2 ~max_faults_per_object:(Some 1) () in
+  check Alcotest.string "fresh" "budget(f=2, t=1; charged 0 faults on 0 objects)"
+    (Fmt.str "%a" Budget.pp fresh);
+  let b =
+    Budget.create ~max_crashes_per_proc:2 ~max_faulty_objects:1 ~max_faults_per_object:None ()
+  in
+  Budget.charge b (oid 2);
+  Budget.charge b (oid 2);
+  Budget.charge_crash b ~proc:1;
+  check Alcotest.string "with crashes"
+    ("budget(f=1, t=\xe2\x88\x9e; charged 2 faults on 1 objects)"
+   ^ " (crashes: 1 charged, \xe2\x89\xa42 per proc)")
+    (Fmt.str "%a" Budget.pp b)
+
+let test_budget_charge_past_bounds () =
+  let b =
+    Budget.create ~max_crashes_per_proc:1 ~max_faulty_objects:1 ~max_faults_per_object:(Some 2) ()
+  in
+  Budget.charge b (oid 9);
+  Budget.charge b (oid 9);
+  Alcotest.check_raises "past t" (Invalid_argument "Budget.charge: fault on O9 exceeds budget")
+    (fun () -> Budget.charge b (oid 9));
+  Alcotest.check_raises "past f" (Invalid_argument "Budget.charge: fault on O300 exceeds budget")
+    (fun () -> Budget.charge b (oid 300));
+  Budget.charge_crash b ~proc:37;
+  Alcotest.check_raises "past the crash cap"
+    (Invalid_argument "Budget.charge_crash: crash of proc 37 exceeds budget") (fun () ->
+      Budget.charge_crash b ~proc:37);
+  check Alcotest.int "failed charges leave totals" 2 (Budget.total_faults b);
+  check Alcotest.int "failed crash charge leaves totals" 1 (Budget.total_crashes b)
+
 let test_budget_validation () =
   Alcotest.check_raises "negative f" (Invalid_argument "Budget.create: max_faulty_objects < 0")
     (fun () -> ignore (Budget.create ~max_faulty_objects:(-1) ~max_faults_per_object:None ()));
@@ -291,6 +374,11 @@ let suites =
         Alcotest.test_case "over-charge raises" `Quick test_budget_charge_over;
         Alcotest.test_case "copy isolation" `Quick test_budget_copy;
         Alcotest.test_case "validation" `Quick test_budget_validation;
+        Alcotest.test_case "sparse and large ids" `Quick test_budget_sparse_ids;
+        Alcotest.test_case "sparse victims" `Quick test_budget_sparse_victims;
+        Alcotest.test_case "copy isolates both tables" `Quick test_budget_copy_both_tables;
+        Alcotest.test_case "pp" `Quick test_budget_pp;
+        Alcotest.test_case "charge past bounds raises" `Quick test_budget_charge_past_bounds;
       ] );
     ( "fault.injector",
       [
