@@ -11,28 +11,29 @@ test:
 	dune runtest --force --no-buffer
 
 # Static analysis: the fault-injection / determinism invariants
-# (doc/LINT.md), parsetree AND typed-tree passes. Builds first —
-# @check leaves a cmt for every module, executables included — so
-# --typed=on can demand one per .ml. Fails on any finding not
-# suppressed in-source or grandfathered in lint-baseline.json.
+# (doc/LINT.md), one pass over each module's typedtree. Builds first —
+# @check leaves a cmt for every module, executables included — and a
+# .ml without a fresh cmt is a cmt-missing finding. Fails on any
+# finding not suppressed in-source or grandfathered in
+# lint-baseline.json.
 lint:
 	dune build @check
-	dune exec bin/main.exe -- lint --typed=on --baseline lint-baseline.json
+	dune exec bin/main.exe -- lint --baseline lint-baseline.json
 
 # Same run, machine-readable; CI archives the output as lint.json.
 lint-json:
 	dune build @check
-	dune exec bin/main.exe -- lint --typed=on --baseline lint-baseline.json --format json
+	dune exec bin/main.exe -- lint --baseline lint-baseline.json --format json
 
 # Regenerate the grandfathering baseline from the current findings.
 lint-baseline:
 	dune build @check
-	dune exec bin/main.exe -- lint --typed=on --baseline lint-baseline.json --write-baseline
+	dune exec bin/main.exe -- lint --baseline lint-baseline.json --write-baseline
 
 # Drop baseline entries that no longer match any current finding.
 lint-prune:
 	dune build @check
-	dune exec bin/main.exe -- lint --typed=on --baseline lint-baseline.json --prune-baseline
+	dune exec bin/main.exe -- lint --baseline lint-baseline.json --prune-baseline
 
 # The full local gate: what CI runs, minus the artifact uploads.
 check: build test lint campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke
@@ -51,7 +52,7 @@ bench:
 # real timing. The files go to _build/bench-smoke/ (marked "smoke": true),
 # never over the committed baselines. CI runs this on every push.
 bench-smoke:
-	dune exec bench/main.exe -- --smoke campaign netsim dist recover b1 e1
+	dune exec bench/main.exe -- --smoke recover b1 e1
 
 examples:
 	dune exec examples/quickstart.exe

@@ -3,6 +3,8 @@
    B1..B3 from DESIGN.md. Each benchmark times one complete adversarial
    run of the relevant construction or analysis, so the series show how
    the cost of consensus (and of defeating it) scales with f, t and n.
+   The runtime layers (campaign pool, journal, dist, netsim) are timed
+   end to end by perfbench/, whose workloads gate on correct output.
 
    Run: dune exec bench/main.exe            (all groups)
         dune exec bench/main.exe -- e3 b3   (selected groups) *)
@@ -234,19 +236,6 @@ let relaxed_queue_run ~k ~p =
          ~scheduler:(Sim.Scheduler.random ~seed:56L)
          ~injector ~bodies:(Array.init 3 body) ())
 
-(* Campaign engine: the same 256-trial fig3 grid pushed through the
-   work-stealing pool at increasing domain counts. Records are
-   discarded, so the series isolates pool + trial cost — the speedup
-   over campaign/1dom is the acceptance number for the orchestrator. *)
-let campaign_run ~domains =
-  let spec =
-    Ffault_campaign.Spec.v ~name:"bench" ~protocol:"fig3" ~f:[ 2 ] ~t:[ Some 1 ] ~n:[ 3 ]
-      ~rates:[ 0.3 ] ~trials:256 ~seed:77L ()
-  in
-  fun () ->
-    let s = Ffault_campaign.Pool.run_trials ~domains ~on_record:(fun _ -> ()) spec in
-    if s.Ffault_campaign.Pool.failures > 0 then failwith "bench: campaign violation"
-
 (* Recover: overhead of the crash-restart machinery — the campaign pool
    workload with the crash axes live. The recoverable protocols must
    stay clean under a crash-only schedule (asserted, so the bench
@@ -303,111 +292,11 @@ let multicore_run ~protocol ~domains ~p ~seed =
     in
     ignore (R.Consensus_mc.execute cfg)
 
-(* Netsim: one complete simulated distributed campaign — coordinator
-   engine + workers + fault schedule in virtual time — per run. The
-   rate here is what bounds `ffault netsim --schedules N`. *)
-let netsim_run ~workers ~trials ~seed =
-  let cfg = Ffault_netsim.Sim.config ~workers ~trials ~lease_trials:32 () in
-  fun () -> ignore (Ffault_netsim.Sim.run cfg ~seed)
-
-(* Dist: one complete real distributed campaign per run — coordinator
-   thread + worker threads over a Unix socket in a throwaway dir. The
-   [status] variant attaches the HTTP endpoint; [scrape] additionally
-   polls /status from a client thread throughout the run. The spread
-   across the three variants is the endpoint's overhead — the
-   acceptance bar is "within noise". *)
-module Dist = Ffault_dist
-
-let dist_rm_rf root =
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  if Sys.file_exists root then rm root
-
-let dist_tmp =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "ffault-bench-dist-%d-%d" (Unix.getpid ()) !n)
-
-let dist_run ~workers ~status ~scrape =
-  let spec =
-    Ffault_campaign.Spec.v ~name:"bench-dist" ~protocol:"fig3" ~f:[ 2 ] ~t:[ Some 1 ]
-      ~n:[ 3 ] ~rates:[ 0.3 ] ~trials:128 ~seed:0xD157L ()
-  in
-  fun () ->
-    let root = dist_tmp () in
-    Unix.mkdir root 0o755;
-    Fun.protect ~finally:(fun () -> dist_rm_rf root) @@ fun () ->
-    let sock = Filename.concat root "coord.sock" in
-    let status_ep =
-      if status then Some (Dist.Transport.Unix_sock (Filename.concat root "status.sock"))
-      else None
-    in
-    let cfg =
-      (* tight lease timeout: Wait backoff is timeout/4, and a worker
-         napping through the campaign's tail would swamp the timing *)
-      Dist.Coordinator.config ~lease_trials:32 ~lease_timeout_s:1.0 ~hb_interval_s:0.2
-        (Dist.Transport.Unix_sock sock)
-    in
-    let serve_result = ref (Error "never ran") in
-    let coordinator =
-      Thread.create
-        (fun () -> serve_result := Dist.Coordinator.serve ?status:status_ep ~root cfg spec)
-        ()
-    in
-    let rec await n =
-      if not (Sys.file_exists sock) then
-        if n = 0 then failwith "bench: coordinator never listened"
-        else begin
-          Thread.delay 0.005;
-          await (n - 1)
-        end
-    in
-    await 400;
-    let stop_scraper = Atomic.make false in
-    let scraper =
-      match (scrape, status_ep) with
-      | true, Some ep ->
-          Some
-            (Thread.create
-               (fun () ->
-                 while not (Atomic.get stop_scraper) do
-                   ignore (Dist.Http.get ep ~path:"/status");
-                   Thread.delay 0.005
-                 done)
-               ())
-      | _ -> None
-    in
-    let threads =
-      List.init workers (fun i ->
-          Thread.create
-            (fun () ->
-              ignore
-                (Dist.Worker.run
-                   (Dist.Worker.config ~name:(Fmt.str "bw%d" i) ~domains:1 ~chunk:32
-                      (Dist.Transport.Unix_sock sock))))
-            ())
-    in
-    List.iter Thread.join threads;
-    Thread.join coordinator;
-    Atomic.set stop_scraper true;
-    Option.iter Thread.join scraper;
-    match !serve_result with
-    | Ok _ -> ()
-    | Error m -> failwith ("bench: dist serve: " ^ m)
-
 (* ---- benchmark groups ---- *)
 
 (* A row is (name, trials one run performs, run). A trial is one engine
-   execution — one adversarial consensus run — or, for netsim, one trial
-   of the simulated campaign; runs/s times trials/run is trials/s. *)
+   execution — one adversarial consensus run; runs/s times trials/run is
+   trials/s. *)
 let row name trials run = (name, Lazy.from_val trials, run)
 let explored name (trials, run) = (name, trials, run)
 
@@ -477,30 +366,10 @@ let groups =
         row "relaxed-queue/k=2/p=0.3" 1 (relaxed_queue_run ~k:2 ~p:0.3);
         row "relaxed-queue/k=8/p=0.5" 1 (relaxed_queue_run ~k:8 ~p:0.5);
       ];
-    group "campaign"
-      [
-        row "campaign/fig3-256/1dom" 256 (campaign_run ~domains:1);
-        row "campaign/fig3-256/2dom" 256 (campaign_run ~domains:2);
-        row "campaign/fig3-256/4dom" 256 (campaign_run ~domains:4);
-      ];
-    group "netsim"
-      [
-        row "netsim/3w-200t" 200 (netsim_run ~workers:3 ~trials:200 ~seed:0x11L);
-        row "netsim/3w-200t/seed2" 200 (netsim_run ~workers:3 ~trials:200 ~seed:0x22L);
-        row "netsim/6w-400t" 400 (netsim_run ~workers:6 ~trials:400 ~seed:0x33L);
-      ];
-    group "dist"
-      [
-        row "dist/2w-128t" 128 (dist_run ~workers:2 ~status:false ~scrape:false);
-        row "dist/2w-128t/status" 128 (dist_run ~workers:2 ~status:true ~scrape:false);
-        row "dist/2w-128t/status+scrape" 128 (dist_run ~workers:2 ~status:true ~scrape:true);
-      ];
     group "recover"
       [
         row "recover/rec-tas-256/1dom" 256
           (recover_run ~protocol:"rec-tas" ~expect_clean:true ~domains:1);
-        row "recover/rec-tas-256/4dom" 256
-          (recover_run ~protocol:"rec-tas" ~expect_clean:true ~domains:4);
         row "recover/rec-cas-256/1dom" 256
           (recover_run ~protocol:"rec-cas" ~expect_clean:true ~domains:1);
         row "recover/naive-tas-256/1dom" 256
@@ -560,10 +429,20 @@ let pretty ns =
    record per test. [runs_per_s] is 1e9 / ns_per_op; [trials_per_s]
    multiplies it by the row's [trials_per_run], so it counts trials like
    the campaign summary's rate does. The top level records the core
-   count and compiler the numbers came from. A real run writes into the
+   count, compiler and git revision the numbers came from. A real run
+   writes into the
    working directory (the committed baselines live at the repo root); a
    smoke run writes under _build/bench-smoke/ and says "smoke": true, so
    it can never replace a baseline. *)
+let git_rev () =
+  match Unix.open_process_args_in "git" [| "git"; "rev-parse"; "--short"; "HEAD" |] with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = In_channel.input_line ic in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some rev when rev <> "" -> rev
+      | _ -> "unknown")
+
 let write_json gname rows =
   let module Json = Ffault_campaign.Json in
   let rate ns per =
@@ -592,6 +471,7 @@ let write_json gname rows =
                 ("smoke", Json.Bool !smoke);
                 ("nproc", Json.Int (Domain.recommended_domain_count ()));
                 ("ocaml_version", Json.Str Sys.ocaml_version);
+                ("git_rev", Json.Str (git_rev ()));
                 ("results", Json.List (List.map record rows));
               ]));
       output_char oc '\n');

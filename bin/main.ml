@@ -1175,7 +1175,7 @@ let lint_cmd =
     Arg.(value & flag & info [ "prune-baseline" ] ~doc)
   in
   let list_rules_arg =
-    let doc = "List the rules (name, layer, severity, summary) and exit." in
+    let doc = "List the rules (name, severity, summary) and exit." in
     Arg.(value & flag & info [ "list-rules" ] ~doc)
   in
   let explain_arg =
@@ -1184,29 +1184,15 @@ let lint_cmd =
     in
     Arg.(value & opt (some string) None & info [ "explain" ] ~docv:"RULE" ~doc)
   in
-  let typed_arg =
-    let doc =
-      "Typed-tree pass over cmt files: $(b,auto) runs it when a built tree exists \
-       and turns missing/stale cmts into notes; $(b,on) turns them into cmt-missing \
-       findings (the CI mode); $(b,off) skips the pass. Bare $(b,--typed) means \
-       $(b,on)."
-    in
-    Arg.(
-      value
-      & opt ~vopt:`On (enum [ ("auto", `Auto); ("on", `On); ("off", `Off) ]) `Auto
-      & info [ "typed" ] ~docv:"MODE" ~doc)
-  in
   let paths_arg =
     let doc = "Files or directories to lint (default: lib bin test bench examples)." in
     Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
   in
-  let run format rules baseline write_baseline prune_baseline list_rules explain typed
-      paths =
+  let run format rules baseline write_baseline prune_baseline list_rules explain paths =
     if list_rules then begin
       List.iter
         (fun r ->
-          Fmt.pr "%-22s %-6s %-8s %s@." r.Lint.Rule.name
-            (Lint.Rule.layer_to_string r.Lint.Rule.layer)
+          Fmt.pr "%-22s %-8s %s@." r.Lint.Rule.name
             (Lint.Finding.severity_to_string r.Lint.Rule.severity)
             r.Lint.Rule.summary)
         Lint.Rule.all;
@@ -1220,10 +1206,9 @@ let lint_cmd =
               Fmt.epr "error: unknown rule %S (see `ffault lint --list-rules')@." name;
               2
           | Some r ->
-              Fmt.pr "%s (%s rule, %s layer)@.@.  %s@.@.why@.  %s@.@.example@.  %s@."
+              Fmt.pr "%s (%s rule)@.@.  %s@.@.why@.  %s@.@.example@.  %s@."
                 r.Lint.Rule.name
                 (Lint.Finding.severity_to_string r.Lint.Rule.severity)
-                (Lint.Rule.layer_to_string r.Lint.Rule.layer)
                 r.Lint.Rule.summary r.Lint.Rule.rationale r.Lint.Rule.example;
               0)
       | None -> (
@@ -1251,13 +1236,7 @@ let lint_cmd =
               List.filter Sys.file_exists [ "lib"; "bin"; "test"; "bench"; "examples" ]
             else paths
           in
-          let typed =
-            match typed with
-            | `Auto -> Lint.Driver.Typed_auto
-            | `On -> Lint.Driver.Typed_on
-            | `Off -> Lint.Driver.Typed_off
-          in
-          let result = Lint.Driver.run ?rules ~policy:Lint.Policy.default ~typed paths in
+          let result = Lint.Driver.run ?rules ~policy:Lint.Policy.default paths in
           if write_baseline then
             match baseline with
             | None ->
@@ -1311,15 +1290,16 @@ let lint_cmd =
   in
   let doc =
     "Statically check the fault-injection and determinism invariants over the source \
-     tree: a parsetree pass (raw-atomic, nondeterminism, toplevel-mutable, io-in-lib, \
-     catch-all, mli-required, obj-magic, effect-discipline) plus a typed-tree pass \
-     over cmt files (alias-escape, poly-compare-abstract, domain-unsafe-capture) \
-    that sees through aliases and opens. See `--list-rules' and `--explain RULE'."
+     tree: one pass over each module's typedtree, read from the cmt files a build \
+     leaves (build first: $(b,dune build @check); a missing or stale cmt is a \
+     cmt-missing finding). Identifiers are matched by what they resolve to, so \
+     aliases and opens do not evade the rules. See `--list-rules' and `--explain \
+     RULE'."
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(
       const run $ format_arg $ rules_arg $ baseline_arg $ write_baseline_arg
-      $ prune_baseline_arg $ list_rules_arg $ explain_arg $ typed_arg $ paths_arg)
+      $ prune_baseline_arg $ list_rules_arg $ explain_arg $ paths_arg)
 
 (* ---- netsim ---- *)
 

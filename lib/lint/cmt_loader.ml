@@ -1,7 +1,7 @@
 (* Map source paths to the .cmt files dune left under _build, verify
    freshness against the source digest, and degrade gracefully: every
-   failure mode is a [status] the driver turns into a note (--typed=auto)
-   or a cmt-missing finding (--typed=on) — never an exception.
+   failure mode is a [status] the driver turns into a cmt-missing
+   finding — never an exception.
 
    The index is built from filenames alone (no cmt is read until a
    source asks for it): a cmt at
@@ -14,12 +14,12 @@
    exists, or silently bless code that was edited after the build. *)
 
 type status =
-  | Typed of Cmt_format.cmt_infos
+  | Typed of Typedtree.structure
   | No_cmt
   | Stale of string
   | Unreadable of string
 
-type t = { index : (string * string, string) Hashtbl.t; build_dir : string }
+type t = { index : (string * string, string) Hashtbl.t }
 
 let default_build_dir = Filename.concat "_build" "default"
 
@@ -81,7 +81,7 @@ let create ?(build_dir = default_build_dir) () =
       | exception Sys_error _ -> ()
     in
     walk build_dir;
-    if Hashtbl.length index = 0 then None else Some { index; build_dir }
+    if Hashtbl.length index = 0 then None else Some { index }
   end
 
 let lookup t source =
@@ -108,20 +108,21 @@ let for_source t source =
                 match Digest.file source with
                 | exception Sys_error m -> Unreadable (Fmt.str "cannot digest source: %s" m)
                 | actual ->
-                    if Digest.equal recorded actual then Typed cmt
-                    else
+                    if not (Digest.equal recorded actual) then
                       Stale
                         (Fmt.str
                            "source changed since %s was built (rebuild: dune build)"
-                           cmt_path))))
+                           cmt_path)
+                    else
+                      match cmt.Cmt_format.cmt_annots with
+                      | Cmt_format.Implementation structure -> Typed structure
+                      | _ ->
+                          Unreadable
+                            (Fmt.str "cmt at %s holds no complete implementation \
+                                      (did the build type-check it?)" cmt_path))))
 
 let describe ~build_dir = function
   | Typed _ -> None
   | No_cmt ->
-      Some
-        (Fmt.str "no cmt found under %s (build first: dune build); typed rules \
-                  skipped for this file" build_dir)
-  | Stale m | Unreadable m ->
-      Some (Fmt.str "%s; typed rules skipped for this file" m)
-
-let build_dir t = t.build_dir
+      Some (Fmt.str "no cmt found under %s (build first: dune build)" build_dir)
+  | Stale m | Unreadable m -> Some m

@@ -7,14 +7,15 @@
     name) from filenames alone; {!for_source} maps a source path to its
     cmt, reads it, and verifies the cmt's recorded source digest against
     the file on disk. Every failure mode is a {!status} — never an
-    exception — so the driver can degrade per file: a note under
-    [--typed=auto], a [cmt-missing] finding under [--typed=on]. *)
+    exception — which the driver reports as a [cmt-missing] finding. *)
 
 type status =
-  | Typed of Cmt_format.cmt_infos  (** fresh: typedtree available *)
+  | Typed of Typedtree.structure  (** fresh: the implementation's typedtree *)
   | No_cmt  (** no cmt indexed for this source *)
   | Stale of string  (** cmt exists but the source changed since the build *)
-  | Unreadable of string  (** cmt or source cannot be read/digested *)
+  | Unreadable of string
+      (** cmt or source cannot be read/digested, or the cmt holds no
+          complete implementation *)
 
 type t
 
@@ -23,14 +24,11 @@ val default_build_dir : string
 
 val create : ?build_dir:string -> unit -> t option
 (** Scan [build_dir] for cmt files. [None] when the directory does not
-    exist or holds no cmts — the signal [--typed=auto] uses to skip the
-    typed pass entirely. *)
+    exist or holds no cmts. *)
 
 val for_source : t -> string -> status
 (** Resolve, read and freshness-check the cmt for a [.ml] source path.
     Non-[.ml] paths are [No_cmt]. *)
 
 val describe : build_dir:string -> status -> string option
-(** Human-readable note for a degraded status; [None] for [Typed]. *)
-
-val build_dir : t -> string
+(** Why a degraded status has no typedtree; [None] for [Typed]. *)

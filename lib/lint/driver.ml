@@ -1,53 +1,25 @@
-(* Parse every .ml/.mli, run the AST rules, merge the typed-tree rules
-   for files whose cmt is fresh (Cmt_loader + Typed_rules), apply policy
-   and suppressions, and add the filesystem-level mli-required check. *)
+(* Lint every .ml through the typedtree in its cmt: run Typed_rules,
+   apply policy and the suppressions the same tree carries, and add the
+   filesystem-level mli-required check. A .ml without a fresh cmt is a
+   cmt-missing finding, so a build regression cannot silently shrink
+   coverage. *)
 
 type outcome = {
   findings : Finding.t list;
   suppressed : (Finding.t * Suppress.t) list;
 }
 
-type typed_mode = Typed_off | Typed_auto | Typed_on
+(* ---- linting one implementation ---- *)
 
-let no_outcome = { findings = []; suppressed = [] }
-
-(* ---- parsing ---- *)
-
-let parse_finding ~file loc msg =
-  Finding.of_location ~rule:"parse-error" ~severity:(Rule.severity "parse-error") ~file
-    loc msg
-
-let with_lexbuf ~file source k =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  match k lexbuf with
-  | v -> Ok v
-  | exception Syntaxerr.Error err ->
-      Error (parse_finding ~file (Syntaxerr.location_of_error err) "syntax error")
-  | exception Lexer.Error (_, loc) -> Error (parse_finding ~file loc "lexing error")
-
-let parse_impl ~file source = with_lexbuf ~file source Parse.implementation
-let parse_intf ~file source = with_lexbuf ~file source Parse.interface
-
-(* ---- linting one source ---- *)
-
-let scoped policy file findings =
-  List.filter (fun (f : Finding.t) -> Policy.applies policy ~rule:f.rule ~file) findings
-
-let lint_impl_source ?(policy = Policy.default) ?(typed = []) ~file source =
-  match parse_impl ~file source with
-  | Error f -> { no_outcome with findings = [ f ] }
-  | Ok structure ->
-      let raw = Ast_rules.check ~file structure @ typed in
-      let sups, sup_errors = Suppress.of_structure ~file structure in
-      let raw = scoped policy file raw in
-      let findings, suppressed = Suppress.apply sups raw in
-      { findings = findings @ sup_errors; suppressed }
-
-let lint_intf_source ?policy:(_ = Policy.default) ~file source =
-  match parse_intf ~file source with
-  | Error f -> { no_outcome with findings = [ f ] }
-  | Ok _ -> no_outcome
+let lint_structure ~policy ~file structure =
+  let raw =
+    List.filter
+      (fun (f : Finding.t) -> Policy.applies policy ~rule:f.rule ~file)
+      (Typed_rules.check ~file structure)
+  in
+  let sups, sup_errors = Suppress.of_structure ~file structure in
+  let findings, suppressed = Suppress.apply sups raw in
+  { findings = findings @ sup_errors; suppressed }
 
 (* ---- file collection ---- *)
 
@@ -98,89 +70,40 @@ type result = {
   typed_files : int;
   findings : Finding.t list;
   suppressed : (Finding.t * Suppress.t) list;
-  notes : (string * string) list;
 }
-
-let read_file file =
-  match In_channel.with_open_text file In_channel.input_all with
-  | source -> Ok source
-  | exception Sys_error m -> Error m
 
 let rule_enabled rules (f : Finding.t) =
   match rules with
   | None -> true
   | Some rs -> List.mem f.rule rs || Rule.is_meta f.rule
 
-(* The typed half of one file: its findings (merged into the outcome
-   pre-policy, so scoping and suppressions treat both layers the same),
-   or how it degraded. Under auto a degraded file is a note; under on it
-   is a cmt-missing finding, so a build regression cannot silently
-   shrink coverage in CI. *)
-type typed_file =
-  | T_skip
-  | T_findings of Finding.t list
-  | T_note of string
-  | T_missing of Finding.t
-
-let typed_for_file ~mode ~loader ~build_dir ~policy file =
-  if mode = Typed_off || not (Filename.check_suffix file ".ml") then T_skip
-  else
+let run ?rules ?(policy = Policy.default) ?(build_dir = Cmt_loader.default_build_dir)
+    paths =
+  let files = collect_files paths in
+  let loader = Cmt_loader.create ~build_dir () in
+  let typed_files = ref 0 in
+  let lint_file file =
     let status =
-      match loader with
-      | Some l -> Cmt_loader.for_source l file
-      | None -> Cmt_loader.No_cmt
+      Option.fold ~none:Cmt_loader.No_cmt ~some:(fun l -> Cmt_loader.for_source l file)
+        loader
     in
     match status with
-    | Cmt_loader.Typed cmt -> T_findings (Typed_rules.check ~policy ~file cmt)
-    | degraded -> (
-        let msg =
-          Option.value ~default:"typed rules skipped"
-            (Cmt_loader.describe ~build_dir degraded)
-        in
-        match mode with
-        | Typed_on ->
-            T_missing
-              (Finding.v ~rule:"cmt-missing" ~severity:(Rule.severity "cmt-missing")
-                 ~file ~line:1 ~col:0 msg)
-        | _ -> T_note msg)
-
-let run ?rules ?(policy = Policy.default) ?(typed = Typed_auto)
-    ?(build_dir = Cmt_loader.default_build_dir) paths =
-  let files = collect_files paths in
-  let loader = if typed = Typed_off then None else Cmt_loader.create ~build_dir () in
-  (* auto: the typed layer exists only when a built tree does *)
-  let mode = if typed = Typed_auto && loader = None then Typed_off else typed in
-  let typed_files = ref 0 in
-  let notes = ref [] in
+    | Cmt_loader.Typed structure ->
+        incr typed_files;
+        lint_structure ~policy ~file structure
+    | degraded ->
+        let why = Option.value ~default:"" (Cmt_loader.describe ~build_dir degraded) in
+        {
+          findings =
+            [
+              Finding.v ~rule:"cmt-missing" ~severity:(Rule.severity "cmt-missing") ~file
+                ~line:1 ~col:0 why;
+            ];
+          suppressed = [];
+        }
+  in
   let outcomes =
-    List.map
-      (fun file ->
-        let typed_findings =
-          match typed_for_file ~mode ~loader ~build_dir ~policy file with
-          | T_skip -> []
-          | T_findings fs ->
-              incr typed_files;
-              fs
-          | T_note msg ->
-              notes := (file, msg) :: !notes;
-              []
-          | T_missing f -> [ f ]
-        in
-        match read_file file with
-        | Error m ->
-            {
-              no_outcome with
-              findings =
-                [
-                  Finding.v ~rule:"parse-error" ~severity:Finding.Error ~file ~line:1
-                    ~col:0 (Fmt.str "cannot read: %s" m);
-                ];
-            }
-        | Ok source ->
-            if Filename.check_suffix file ".ml" then
-              lint_impl_source ~policy ~typed:typed_findings ~file source
-            else lint_intf_source ~policy ~file source)
-      files
+    List.map lint_file (List.filter (fun f -> Filename.check_suffix f ".ml") files)
   in
   let findings =
     List.concat_map (fun (o : outcome) -> o.findings) outcomes
@@ -192,5 +115,4 @@ let run ?rules ?(policy = Policy.default) ?(typed = Typed_auto)
     typed_files = !typed_files;
     findings = List.sort Finding.compare (List.filter (rule_enabled rules) findings);
     suppressed;
-    notes = List.rev !notes;
   }

@@ -1,39 +1,17 @@
-(** The lint driver: parse sources, run {!Ast_rules}, merge
-    {!Typed_rules} for files with a fresh cmt, apply {!Policy} and
-    {!Suppress}, add the filesystem-level mli-required check. *)
+(** The lint driver: run {!Typed_rules} over each [.ml]'s typedtree
+    (read from its cmt), apply {!Policy} and {!Suppress}, and add the
+    filesystem-level mli-required check. *)
 
 type outcome = {
   findings : Finding.t list;
   suppressed : (Finding.t * Suppress.t) list;
 }
 
-type typed_mode =
-  | Typed_off  (** parsetree pass only *)
-  | Typed_auto
-      (** typed pass when a built tree exists; degraded files become
-          notes (never failures) *)
-  | Typed_on
-      (** typed pass required: a missing/stale cmt is a [cmt-missing]
-          finding — the CI mode *)
-
-val parse_impl :
-  file:string -> string -> (Parsetree.structure, Finding.t) result
-(** Parse an implementation; a syntax/lexing failure becomes a
-    [parse-error] finding at its location. *)
-
-val parse_intf :
-  file:string -> string -> (Parsetree.signature, Finding.t) result
-
-val lint_impl_source :
-  ?policy:Policy.t -> ?typed:Finding.t list -> file:string -> string -> outcome
-(** Lint one implementation given as a string — the unit the fixture
-    tests drive. [file] determines policy scoping. [typed] merges
-    pre-computed typed-layer findings (see {!Typed_rules.check}) before
-    policy scoping and suppression, so both layers share the same
-    [@@@ffault.lint.allow] machinery. *)
-
-val lint_intf_source : ?policy:Policy.t -> file:string -> string -> outcome
-(** Interfaces only get the parse check (no expressions to inspect). *)
+val lint_structure :
+  policy:Policy.t -> file:string -> Typedtree.structure -> outcome
+(** Lint one typed implementation — the unit the tests drive. [file]
+    determines policy scoping; suppressions are read from the same
+    tree. *)
 
 val collect_files : string list -> string list
 (** Expand files/directories to a sorted list of [.ml]/[.mli] paths,
@@ -45,22 +23,14 @@ val mli_required : policy:Policy.t -> string list -> Finding.t list
 
 type result = {
   files : int;  (** sources inspected *)
-  typed_files : int;  (** .ml files that got the typed pass *)
+  typed_files : int;  (** .ml files linted through a fresh cmt *)
   findings : Finding.t list;  (** post policy + suppression, sorted *)
   suppressed : (Finding.t * Suppress.t) list;
-  notes : (string * string) list;
-      (** (file, message) for files the typed pass skipped under
-          [Typed_auto]; informational, never failing *)
 }
 
 val run :
-  ?rules:string list ->
-  ?policy:Policy.t ->
-  ?typed:typed_mode ->
-  ?build_dir:string ->
-  string list ->
-  result
+  ?rules:string list -> ?policy:Policy.t -> ?build_dir:string -> string list -> result
 (** Lint the given paths. [rules] restricts reporting to that subset
-    (meta rules always pass through). [typed] defaults to [Typed_auto];
-    [build_dir] (default [_build/default]) is where cmts are looked
-    up. *)
+    (meta rules always pass through). [build_dir] (default
+    [_build/default]) is where cmts are looked up; a [.ml] without a
+    fresh cmt there is a [cmt-missing] finding. *)

@@ -82,12 +82,7 @@ let default =
         ("mli-required", [ "lib" ]);
         ("obj-magic", [ "lib" ]);
         ("effect-discipline", [ "lib/sim" ]);
-        (* typed layer: see doc/LINT.md "Typed rules". alias-escape is
-           additionally gated on the underlying rule's policy inside
-           Typed_rules, so an aliased clock read outside the
-           deterministic dirs still passes. *)
         ("poly-compare-abstract", [ "lib" ]);
-        ("alias-escape", [ "lib" ]);
         ("domain-unsafe-capture", [ "lib" ]);
       ];
     allows =
@@ -101,11 +96,10 @@ let default =
         };
         {
           prefix = "lib/telemetry";
-          rules = [ "raw-atomic"; "io-in-lib"; "toplevel-mutable" ];
+          rules = [ "raw-atomic" ];
           why =
             "the designated observability layer: allocation-free sharded counters \
-             (atomics by design), a process-wide metric registry, and the progress \
-             line that owns the terminal";
+             are atomics by design";
         };
         {
           prefix = "lib/supervise";
@@ -127,9 +121,9 @@ let default =
           prefix = "lib/dist/worker.ml";
           rules = [ "raw-atomic" ];
           why =
-            "audited: the heartbeat thread's stop flag is cross-thread control \
-             state of the transport layer; trials themselves only touch CAS \
-             through Faulty_cas";
+            "audited: the ticker thread's stop flag is cross-thread control state \
+             of the transport layer; trials themselves only touch CAS through \
+             Faulty_cas";
         };
         {
           prefix = "lib/dist/transport.ml";

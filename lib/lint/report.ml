@@ -7,7 +7,6 @@ type t = {
   baselined : Finding.t list;
   suppressed : (Finding.t * Suppress.t) list;
   expired : Baseline.entry list;
-  notes : (string * string) list;
 }
 
 let make ?(baseline = Baseline.empty) (r : Driver.result) =
@@ -19,7 +18,6 @@ let make ?(baseline = Baseline.empty) (r : Driver.result) =
     baselined = split.Baseline.baselined;
     suppressed = r.Driver.suppressed;
     expired = split.Baseline.expired;
-    notes = r.Driver.notes;
   }
 
 let exit_code t = if t.fresh = [] then 0 else 1
@@ -45,7 +43,6 @@ let to_text t =
       line "%s:%d: note: expired baseline entry for %s (fixed or moved) — regenerate \
             the baseline" e.Baseline.file e.Baseline.line e.Baseline.rule)
     t.expired;
-  List.iter (fun (file, msg) -> line "%s:1: note: %s" file msg) t.notes;
   if t.fresh <> [] then line "";
   (match by_rule t.fresh with
   | [] -> ()
@@ -71,7 +68,6 @@ let finding_to_json ?(extra = []) (f : Finding.t) =
   Json.Obj
     ([
        ("rule", Json.Str f.rule);
-       ("layer", Json.Str (Rule.layer_to_string (Rule.layer f.rule)));
        ("severity", Json.Str (Finding.severity_to_string f.severity));
        ("file", Json.Str (Policy.normalize f.file));
        ("line", Json.Int f.line);
@@ -86,17 +82,7 @@ let to_json t =
     [
       ("version", Json.Int 1);
       ("files", Json.Int t.files);
-      ( "typed",
-        Json.Obj
-          [
-            ("files", Json.Int t.typed_files);
-            ( "notes",
-              Json.List
-                (List.map
-                   (fun (file, msg) ->
-                     Json.Obj [ ("file", Json.Str file); ("message", Json.Str msg) ])
-                   t.notes) );
-          ] );
+      ("typed", Json.Obj [ ("files", Json.Int t.typed_files) ]);
       ( "findings",
         Json.List
           (List.map (finding_to_json ~extra:[ ("baselined", Json.Bool false) ]) t.fresh

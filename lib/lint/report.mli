@@ -2,13 +2,11 @@
 
 type t = {
   files : int;
-  typed_files : int;  (** .ml files the typed pass covered *)
+  typed_files : int;  (** .ml files linted through a fresh cmt *)
   fresh : Finding.t list;  (** unsuppressed, unbaselined: these fail *)
   baselined : Finding.t list;
   suppressed : (Finding.t * Suppress.t) list;
   expired : Baseline.entry list;
-  notes : (string * string) list;
-      (** typed-pass degradations under auto; informational *)
 }
 
 val make : ?baseline:Baseline.t -> Driver.result -> t
@@ -22,6 +20,5 @@ val to_text : t -> string
 
 val to_json : t -> Ffault_campaign.Json.t
 (** [{version; files; typed; findings; suppressed; expired_baseline;
-    summary}] — the shape CI archives as lint.json. Findings carry a
-    ["layer"] ([ast]/[typed]/[fs]) so the two passes stay
-    distinguishable. *)
+    summary}] — the shape CI archives as lint.json; [typed] holds the
+    count of [.ml] files linted through a fresh cmt. *)

@@ -1,18 +1,13 @@
-type layer = Ast | Typed | Fs
-
-let layer_to_string = function Ast -> "ast" | Typed -> "typed" | Fs -> "fs"
-
 type t = {
   name : string;
   severity : Finding.severity;
   summary : string;
-  layer : layer;
   rationale : string;
   example : string;
 }
 
-let v ?(layer = Ast) ~rationale ~example name severity summary =
-  { name; severity; summary; layer; rationale; example }
+let v ~rationale ~example name severity summary =
+  { name; severity; summary; rationale; example }
 
 (* The substantive rules, in the order they are documented. The
    [rationale] and [example] fields feed `ffault lint --explain RULE`;
@@ -31,7 +26,8 @@ let substantive =
          executes against the real primitive, so the experiment verifies a \
          protocol against a fault model it never actually faces. Reads \
          (Atomic.get) and allocation (Atomic.make) carry no fault semantics and \
-         are fine."
+         are fine. Identifiers are matched by resolved identity, so module A = \
+         Atomic, open Atomic and an eta-reduced A.set are caught as well."
       ~example:
         "lib/consensus/protocol.ml:42:10: error raw-atomic: raw Atomic.set \
          bypasses the injectable faulty-CAS substrate; route the operation \
@@ -92,7 +88,7 @@ let substantive =
         "lib/campaign/runner_glue.ml:61:29: error catch-all: wildcard exception \
          handler swallows every exception, including budget exhaustion and \
          cancellation; match the exceptions you mean to handle";
-    v "mli-required" Finding.Error ~layer:Fs
+    v "mli-required" Finding.Error
       "every library module must commit to an interface: an .ml without its .mli \
        exposes internals the lint and the design cannot see"
       ~rationale:
@@ -132,8 +128,7 @@ let substantive =
         "lib/sim/engine.ml:102:4: error effect-discipline: Effect.Deep.try_with \
          installs only an effect handler: a body that returns or raises \
          bypasses the scheduler's Step/Decide bookkeeping";
-    (* ---- typed layer (require cmt files; see doc/LINT.md) ---- *)
-    v "poly-compare-abstract" Finding.Error ~layer:Typed
+    v "poly-compare-abstract" Finding.Error
       "structural =/compare/Hashtbl.hash/List.mem at a lib-owned semantic type \
        (Value.t, History.t) breaks the moment the type gains closures or mutable \
        internals"
@@ -142,8 +137,8 @@ let substantive =
          the comparison the CAS primitive runs). Polymorphic =, <>, compare, \
          Hashtbl.hash and List.mem compare representations instead: they raise \
          on closures, diverge from the semantic order on mutable internals, and \
-         silently change meaning when the type grows a constructor. The typed \
-         pass sees the instantiated type of each occurrence, so the check \
+         silently change meaning when the type grows a constructor. The pass \
+         sees the instantiated type of each occurrence, so the check \
          survives aliases and type inference; it also descends into type \
          parameters (Value.t list = Value.t list is still structural). Use the \
          module's own equal/compare/hash."
@@ -151,25 +146,7 @@ let substantive =
         "lib/verify/oracle.ml:54:20: error poly-compare-abstract: polymorphic = \
          instantiated at Value.t; use Value.equal/compare instead of structural \
          comparison";
-    v "alias-escape" Finding.Error ~layer:Typed
-      "an alias, open, include or eta-reduced binding whose resolved identity lands \
-       in the raw-atomic / nondeterminism / io-in-lib ident sets evaded the \
-       parsetree rule"
-      ~rationale:
-        "The parsetree rules match surface syntax, so module A = Atomic, open \
-         Atomic, include Atomic, or Atomic.(set r 1) all evade them. The typed \
-         pass resolves every identifier to its definition site in the compiler's \
-         typedtree, so an occurrence that is really Atomic.set (or \
-         Unix.gettimeofday, or Printf.printf, ...) is flagged however it is \
-         written. Occurrences the parsetree pass already reports are skipped — \
-         this rule only surfaces the escapes. The underlying rule's \
-         per-directory policy applies: an aliased clock read outside the \
-         deterministic dirs is still fine."
-      ~example:
-        "lib/consensus/fig3.ml:9:14: error alias-escape: this identifier \
-         resolves to Atomic.set (raw-atomic territory) though written as \
-         `A.set'; aliasing does not evade the typed lint";
-    v "domain-unsafe-capture" Finding.Warning ~layer:Typed
+    v "domain-unsafe-capture" Finding.Warning
       "a ref, mutable field or non-atomic array allocated outside a Domain.spawn \
        closure and mutated inside it is a cross-domain data race (error in lib/sim)"
       ~rationale:
@@ -179,8 +156,9 @@ let substantive =
          under the OCaml memory model, and in the multicore experiments a way \
          to corrupt measurements without any fault being injected. Use Atomic, \
          keep the state domain-local, or pass results back through Domain.join. \
-         Heuristic: only literal closures are inspected, and only mutations of \
-         identifiers bound outside the closure are flagged. A warning \
+         Heuristic: the spawned closure is inspected whether written inline or \
+         bound to a name first, and only mutations of identifiers bound outside \
+         the closure are flagged. A warning \
          elsewhere, an error under lib/sim (where nothing may share mutable \
          state with the simulated execution)."
       ~example:
@@ -190,16 +168,10 @@ let substantive =
   ]
 
 (* Meta rules: produced by the machinery itself, not subject to policy
-   scoping (a broken parse or suppression is a problem wherever it is). *)
+   scoping (a broken suppression or a missing cmt is a problem wherever
+   it is). *)
 let meta =
   [
-    v "parse-error" Finding.Error "the file does not parse with the repo's compiler"
-      ~rationale:
-        "The lint parses every source with the repo's own compiler frontend; a \
-         file that does not parse cannot be checked, which is itself a failure \
-         (the build would fail too)."
-      ~example:
-        "lib/sim/broken.ml:3:8: error parse-error: syntax error";
     v "suppression" Finding.Error
       "malformed [@@@ffault.lint.allow] attribute (unknown rule or missing \
        justification)"
@@ -210,14 +182,13 @@ let meta =
       ~example:
         "lib/fault/injector.ml:1:0: error suppression: suppressing \
          \"raw-atomic\" requires a justification string";
-    v "cmt-missing" Finding.Error ~layer:Typed
-      "--typed=on requires a fresh cmt for every .ml; build first (dune build)"
+    v "cmt-missing" Finding.Error
+      "every .ml needs a fresh cmt; build first (dune build @check)"
       ~rationale:
-        "The typed rules read the compiler's .cmt output. Under --typed=auto a \
-         missing or stale cmt just downgrades that file to the parsetree pass \
-         (reported as a note); under --typed=on — the CI mode — it is this \
-         error, so a build-step regression cannot silently shrink lint \
-         coverage."
+        "The rules read the compiler's .cmt output, so a .ml whose cmt is \
+         missing, stale or unreadable cannot be checked. That is this error, \
+         so a build-step regression cannot silently shrink lint coverage. A \
+         file that does not parse or type-check has no fresh cmt either."
       ~example:
         "lib/netsim/net.ml:1:0: error cmt-missing: no cmt found under \
          _build/default (build first: dune build)";
@@ -231,4 +202,3 @@ let names = List.map (fun r -> r.name) all
 let severity name =
   match find name with Some r -> r.severity | None -> Finding.Error
 
-let layer name = match find name with Some r -> r.layer | None -> Ast

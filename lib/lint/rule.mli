@@ -1,34 +1,24 @@
-(** The rule registry: names, default severities, layers, and the
-    metadata behind [--list-rules] and [--explain]. *)
-
-type layer =
-  | Ast  (** parsetree pass: always available *)
-  | Typed  (** typed-tree pass: needs a fresh .cmt (see {!Cmt_loader}) *)
-  | Fs  (** filesystem-level (mli-required) *)
-
-val layer_to_string : layer -> string
-(** ["ast"], ["typed"], ["fs"] — the ["layer"] field of lint.json. *)
+(** The rule registry: names, default severities, and the metadata
+    behind [--list-rules] and [--explain]. *)
 
 type t = {
   name : string;
   severity : Finding.severity;
   summary : string;  (** one line; feeds [--list-rules] *)
-  layer : layer;
   rationale : string;  (** full description; feeds [--explain] *)
   example : string;  (** an example finding line; feeds [--explain] *)
 }
 
 val substantive : t list
-(** The checked invariants: eight parsetree/filesystem rules
-    (raw-atomic, nondeterminism, toplevel-mutable, io-in-lib,
-    catch-all, mli-required, obj-magic, effect-discipline) and three
-    typed rules (poly-compare-abstract, alias-escape,
-    domain-unsafe-capture). *)
+(** The checked invariants: raw-atomic, nondeterminism,
+    toplevel-mutable, io-in-lib, catch-all, mli-required, obj-magic,
+    effect-discipline, poly-compare-abstract and domain-unsafe-capture.
+    All but the filesystem-level mli-required are checked on the
+    typedtree. *)
 
 val meta : t list
-(** Findings produced by the machinery itself ([parse-error],
-    [suppression], [cmt-missing]); never policy-scoped and not
-    suppressible. *)
+(** Findings produced by the machinery itself ([suppression],
+    [cmt-missing]); never policy-scoped and not suppressible. *)
 
 val all : t list
 val names : string list
@@ -37,6 +27,3 @@ val is_meta : string -> bool
 
 val severity : string -> Finding.severity
 (** Default severity for a rule name ([Error] for unknown names). *)
-
-val layer : string -> layer
-(** Layer for a rule name ([Ast] for unknown names). *)

@@ -98,7 +98,11 @@ let decode ~file ~scope (attr : attribute) =
           (Fmt.str "malformed payload: use [@@@@@@%s \"rule\", \"justification\"]"
              attr_name)
 
-(* ---- collection over a parsetree ---- *)
+(* ---- collection over a typedtree ---- *)
+
+(* The typedtree keeps every Parsetree.attribute where the parsetree had
+   it, except that a constraint, coercion or local open becomes an
+   [exp_extra] entry carrying that node's attributes and location. *)
 
 let lines_of_loc (loc : Location.t) =
   (loc.loc_start.Lexing.pos_lnum, loc.loc_end.Lexing.pos_lnum)
@@ -112,26 +116,28 @@ let of_structure ~file structure =
     | Some (Ok s) -> sups := s :: !sups
     | Some (Error f) -> errs := f :: !errs
   in
+  let record_spanned loc attrs =
+    let lo, hi = lines_of_loc loc in
+    List.iter (record ~scope:(Lines (lo, hi))) attrs
+  in
+  let open Typedtree in
+  let default = Tast_iterator.default_iterator in
   let it =
     {
-      Ast_iterator.default_iterator with
+      default with
       structure_item =
         (fun it item ->
-          (match item.pstr_desc with
-          | Pstr_attribute attr -> record ~scope:File attr
-          | _ -> ());
-          Ast_iterator.default_iterator.structure_item it item);
+          (match item.str_desc with Tstr_attribute attr -> record ~scope:File attr | _ -> ());
+          default.structure_item it item);
       value_binding =
         (fun it vb ->
-          let lo, hi = lines_of_loc vb.pvb_loc in
-          List.iter (record ~scope:(Lines (lo, hi))) vb.pvb_attributes;
-          Ast_iterator.default_iterator.value_binding it vb);
+          record_spanned vb.vb_loc vb.vb_attributes;
+          default.value_binding it vb);
       expr =
         (fun it e ->
-          (if e.pexp_attributes <> [] then
-             let lo, hi = lines_of_loc e.pexp_loc in
-             List.iter (record ~scope:(Lines (lo, hi))) e.pexp_attributes);
-          Ast_iterator.default_iterator.expr it e);
+          List.iter (fun (_, loc, attrs) -> record_spanned loc attrs) e.exp_extra;
+          record_spanned e.exp_loc e.exp_attributes;
+          default.expr it e);
     }
   in
   it.structure it structure;

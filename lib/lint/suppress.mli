@@ -26,6 +26,6 @@ val apply : t list -> Finding.t list -> Finding.t list * (Finding.t * t) list
 (** Partition findings into (surviving, suppressed-with-their-reason). *)
 
 val of_structure :
-  file:string -> Parsetree.structure -> t list * Finding.t list
-(** Collect the suppressions declared in a parsed implementation, plus
+  file:string -> Typedtree.structure -> t list * Finding.t list
+(** Collect the suppressions declared in a typed implementation, plus
     findings for any malformed ones. *)

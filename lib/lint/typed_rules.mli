@@ -1,28 +1,23 @@
-(** The typed-tree rules, as one {!Tast_iterator} pass over a cmt's
+(** Every source rule, as one {!Tast_iterator} pass over a cmt's
     typedtree.
 
-    Covers [alias-escape] (resolved identities in the raw-atomic /
-    nondeterminism / io-in-lib sets whose surface syntax evaded the
-    parsetree pass), [poly-compare-abstract] (polymorphic [=]/[<>]/
-    [compare]/[Hashtbl.hash]/[List.mem] instantiated at a lib-owned
-    semantic type — seeded with [Value.t] and [History.t]), and
-    [domain-unsafe-capture] (a ref, mutable field or non-atomic array
-    allocated outside a [Domain.spawn] closure and mutated inside it;
-    warning, escalated to error under [lib/sim]).
+    Identifier rules match resolved identities — (declaring [.mli],
+    value name), read from each [Texp_ident]'s value description — so
+    aliases, opens, includes and eta-reduction cannot evade them:
+    [raw-atomic], [nondeterminism] (with [Hashtbl.create ~random:...]
+    checked on the application), [io-in-lib], [obj-magic] and the
+    [Effect.Deep.try_with] half of [effect-discipline]. Structural
+    rules: [catch-all], [toplevel-mutable] (its makers resolved the same
+    way) and the [exnc = raise] half of [effect-discipline]. Type-aware
+    rules: [poly-compare-abstract] (polymorphic [=]/[<>]/[compare]/
+    [Hashtbl.hash]/[List.mem] instantiated at a lib-owned semantic
+    type) and [domain-unsafe-capture] (a ref, mutable field or
+    non-atomic array allocated outside a [Domain.spawn] closure and
+    mutated inside it; warning, escalated to error under [lib/sim]).
 
-    Findings come back unfiltered like {!Ast_rules.check}, with one
-    exception: [alias-escape] consults the {e underlying} rule's policy
-    ([policy]), because only this pass knows which underlying rule an
-    escape belongs to. The driver still scopes and suppresses the
-    result as usual. *)
+    Findings come back unfiltered; the driver applies {!Policy} scoping
+    and {!Suppress} afterwards. *)
 
-val check :
-  ?policy:Policy.t -> file:string -> Cmt_format.cmt_infos -> Finding.t list
-(** Findings in source order; [[]] when the cmt is not an
-    implementation (packs, interfaces). [file] is the source path used
-    for findings and policy decisions. *)
-
-val semantic_types : string list
-(** The seeded table behind [poly-compare-abstract] (["Value.t"],
-    ["History.t"]), matched on the normalized head of the instantiated
-    type with file-local module aliases resolved. *)
+val check : file:string -> Typedtree.structure -> Finding.t list
+(** Findings in source order. [file] is the source path reported in
+    findings (and the [lib/sim] severity escalation). *)

@@ -11,10 +11,9 @@ NAME=chaos-smoke
 DIR="$ROOT/$NAME"
 BIN=_build/default/bin/main.exe
 # grid: f in 1..2 (2) x rates 0.3,0.6 (2) = 4 cells x 10000 trials.
-# Big enough that the sleep below reliably interrupts it mid-flight
-# (the engine clears ~25k trials/s on a fast machine).
 TOTAL=40000
 
+. scripts/await_journal.sh
 dune build bin/main.exe
 rm -rf "$DIR"
 
@@ -23,7 +22,9 @@ rm -rf "$DIR"
 "$BIN" campaign run --name "$NAME" --protocol fig3 \
   -f 1..2 -t 1 -n 3 --rates 0.3,0.6 --trials 10000 --domains 2 --quiet &
 PID=$!
-sleep 0.3
+# Kill once a tenth of the grid is journaled, not after a fixed sleep:
+# a fast machine could otherwise finish first.
+await_journal "$DIR/journal.jsonl" $((TOTAL / 10)) "$PID" chaos-smoke
 kill -9 "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 

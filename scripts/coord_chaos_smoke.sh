@@ -20,6 +20,8 @@ SCRAPES="$DIR/scrapes"
 # grid: f in 1..2 (2) x rates 0.3,0.6 (2) = 4 cells x 10000 trials.
 TOTAL=40000
 
+. scripts/await_journal.sh
+
 serve() {
   # Identical flags both incarnations, plus whatever the caller adds
   # (--resume). Short lease timeout keeps the epoch-1 leases from
@@ -69,15 +71,7 @@ W3=$!
 # of it is left for the resumed incarnation and every worker's backoff
 # brings it back before the end — then snapshot epoch 1: the ownership
 # file and a live scrape.
-tries=0
-until [ "$(grep -c '"trial":' "$DIR/journal.jsonl" 2>/dev/null || true)" -ge $((TOTAL / 10)) ]; do
-  tries=$((tries + 1))
-  if [ "$tries" -gt 600 ]; then
-    echo "coord-chaos-smoke FAILED: the first incarnation journaled too little in time" >&2
-    exit 1
-  fi
-  sleep 0.05
-done
+await_journal "$DIR/journal.jsonl" $((TOTAL / 10)) "$SERVE_PID" coord-chaos-smoke
 status_get /status > "$SCRAPES/status-epoch1.json"
 cp "$DIR/owner.json" "$SCRAPES/owner-epoch1.json"
 if ! grep -q '"epoch":1' "$SCRAPES/status-epoch1.json"; then

@@ -20,6 +20,7 @@ SCRAPES="$DIR/scrapes"
 # enough that the campaign is still running at the post-kill scrapes.
 TOTAL=80000
 
+. scripts/await_journal.sh
 dune build bin/main.exe
 rm -rf "$DIR"
 rm -f "$SOCK" "$STATUS_SOCK"
@@ -54,10 +55,11 @@ W2=$!
 "$BIN" worker --connect "unix:$SOCK" --name chaos-w3 --domains 2 --quiet &
 W3=$!
 
-# Let the campaign get moving, then scrape the live endpoint: the
-# status summary must be well-formed running-state JSON and the
-# exposition must carry ffault_-prefixed samples.
-sleep 0.6
+# Let the campaign get moving (a tenth of the grid journaled), then
+# scrape the live endpoint: the status summary must be well-formed
+# running-state JSON and the exposition must carry ffault_-prefixed
+# samples.
+await_journal "$DIR/journal.jsonl" $((TOTAL / 10)) "$SERVE_PID" dist-chaos-smoke
 "$BIN" campaign status --connect "unix:$STATUS_SOCK" --format json > "$SCRAPES/status-mid.json"
 "$BIN" campaign status --connect "unix:$STATUS_SOCK" --get /metrics > "$SCRAPES/metrics-mid.txt"
 "$BIN" campaign status --connect "unix:$STATUS_SOCK" --get /workers > "$SCRAPES/workers-mid.json"

@@ -22,6 +22,7 @@ ROOT=_campaigns
 BIN=_build/default/bin/main.exe
 CRASH_FLAGS="--crashes 1 --crash-rates 0.4 --persistence all"
 
+. scripts/await_journal.sh
 dune build bin/main.exe
 
 # ---- leg 1: the planted naive baseline must fail, crash-attributed ----
@@ -88,7 +89,7 @@ TOTAL=200000
   -f 0 -n 2 --rates 0.0 --crashes 1 --crash-rates 0.2,0.4 --persistence all \
   --trials 100000 --domains 2 --quiet &
 PID=$!
-sleep 0.3
+await_journal "$DIR/journal.jsonl" $((TOTAL / 10)) "$PID" recover-smoke
 kill -9 "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 

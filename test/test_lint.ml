@@ -1,7 +1,8 @@
 (* Tests for the static-analysis pass: every rule firing and not firing,
    policy scoping, suppression handling, baseline add/expire semantics,
-   and both reporters. Fixtures are inline sources pushed through
-   [Driver.lint_impl_source]; the filename picks the policy scope. *)
+   and both reporters. Fixtures are inline sources, parsed and typed
+   in-process and pushed through [Driver.lint_structure]; the filename
+   picks the policy scope. *)
 
 module Lint = Ffault_lint
 module Finding = Lint.Finding
@@ -18,7 +19,30 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let lint ~file src = Driver.lint_impl_source ~policy:Policy.default ~file src
+(* The typing environment for inline sources: the installed stdlib,
+   unix and fmt, plus the repo's ffault_prng as built next to the test
+   binary (the tests run in _build/default/test). *)
+let typing_env =
+  lazy
+    (ignore (Warnings.parse_options false "-a");
+     Compmisc.init_path ();
+     Load_path.add_dir (Config.standard_library ^ "/unix");
+     Load_path.add_dir (Filename.concat (Filename.dirname Config.standard_library) "fmt");
+     Load_path.add_dir "../lib/prng/.ffault_prng.objs/byte";
+     Compmisc.initial_env ())
+
+(* [type_structure], not [type_implementation]: a module-level
+   [Hashtbl.create 8] has a weak type, which only the latter rejects. *)
+let typecheck ~file src =
+  let env = Lazy.force typing_env in
+  let lexbuf = Lexing.from_string src in
+  Lexing.set_filename lexbuf file;
+  let structure, _, _, _, _ = Typemod.type_structure env (Parse.implementation lexbuf) in
+  Typecore.reset_delayed_checks ();
+  (structure, env)
+
+let lint ~file src =
+  Driver.lint_structure ~policy:Policy.default ~file (fst (typecheck ~file src))
 
 let rules_of (o : Driver.outcome) =
   List.map (fun (f : Finding.t) -> f.Finding.rule) o.Driver.findings
@@ -78,7 +102,11 @@ let test_nondeterminism_spared () =
   check Alcotest.int "campaign out of scope" 0 (count_rule "nondeterminism" o);
   (* the repo's seeded PRNG is the sanctioned source *)
   let o = lint ~file:"lib/sim/fixture.ml" "let f g = Ffault_prng.Splitmix.next_int g\n" in
-  check Alcotest.int "Ffault_prng fine" 0 (count_rule "nondeterminism" o)
+  check Alcotest.int "Ffault_prng fine" 0 (count_rule "nondeterminism" o);
+  (* the typer fills an omitted ?random with a ghost-located None: only
+     a ~random the source spells out counts *)
+  let o = lint ~file:"lib/sim/fixture.ml" "let k () = Hashtbl.create 8\n" in
+  check Alcotest.int "plain Hashtbl.create fine" 0 (count_rule "nondeterminism" o)
 
 (* ---- toplevel-mutable ---- *)
 
@@ -87,9 +115,16 @@ let test_toplevel_mutable_fires () =
     lint ~file:"lib/verify/fixture.ml"
       "let cache = Hashtbl.create 8\n\
        let flag = ref false\n\
-       let slots = Array.init 4 (fun i -> i)\n"
+       let slots = Array.init 4 (fun i -> i)\n\
+       module H = Hashtbl\n\
+       let aliased = H.create 8\n"
   in
-  check Alcotest.int "three findings" 3 (count_rule "toplevel-mutable" o)
+  check Alcotest.int "four findings" 4 (count_rule "toplevel-mutable" o);
+  (* the maker is resolved, not read off the surface path *)
+  let f = List.nth o.Driver.findings 3 in
+  check Alcotest.(pair int int) "the aliased maker" (5, 14) (f.Finding.line, f.Finding.col);
+  check Alcotest.bool "message names the resolved maker" true
+    (contains ~sub:"module-level Hashtbl.create" f.Finding.message)
 
 let test_toplevel_mutable_spared () =
   (* per-call allocation and delayed state are fine *)
@@ -98,9 +133,10 @@ let test_toplevel_mutable_spared () =
       "let mk () = Hashtbl.create 8\nlet delayed = lazy (ref 0)\n"
   in
   check Alcotest.int "functions and lazy fine" 0 (count_rule "toplevel-mutable" o);
-  (* telemetry's process-wide registry is allowlisted *)
+  (* the rule covers the deterministic libraries only, not telemetry's
+     process-wide registry *)
   let o = lint ~file:"lib/telemetry/fixture.ml" "let registry = Hashtbl.create 64\n" in
-  check Alcotest.int "telemetry allowlisted" 0 (count_rule "toplevel-mutable" o)
+  check Alcotest.int "telemetry out of scope" 0 (count_rule "toplevel-mutable" o)
 
 (* ---- io-in-lib ---- *)
 
@@ -118,8 +154,10 @@ let test_io_in_lib_spared () =
   (* printing through a caller-supplied formatter is the sanctioned idiom *)
   let o = lint ~file:"lib/objects/fixture.ml" "let pp ppf x = Fmt.pf ppf \"%d\" x\n" in
   check Alcotest.int "ppf-based pp fine" 0 (count_rule "io-in-lib" o);
+  (* telemetry is not carved out: the progress line writes through the
+     caller's channel *)
   let o = lint ~file:"lib/telemetry/fixture.ml" "let f () = print_endline \"hi\"\n" in
-  check Alcotest.int "telemetry allowlisted" 0 (count_rule "io-in-lib" o)
+  check Alcotest.int "telemetry not allowlisted" 1 (count_rule "io-in-lib" o)
 
 let test_io_in_lib_sockets () =
   (* socket syscalls are transport work: flagged anywhere in lib... *)
@@ -224,12 +262,6 @@ let test_mli_required () =
   check Alcotest.bool "names bare.ml" true
     (Filename.basename (List.hd missing).Finding.file = "bare.ml")
 
-(* ---- parse errors ---- *)
-
-let test_parse_error () =
-  let o = lint ~file:"lib/sim/fixture.ml" "let let = 3\n" in
-  check Alcotest.int "one parse-error" 1 (count_rule "parse-error" o)
-
 (* ---- suppressions ---- *)
 
 let test_suppress_file_level () =
@@ -248,10 +280,13 @@ let test_suppress_binding_scoped () =
   let o =
     lint ~file:"lib/consensus/fixture.ml"
       "let f a = Atomic.set a 1 [@@ffault.lint.allow \"raw-atomic\", \"first only\"]\n\
-       let g a = Atomic.set a 2\n"
+       let g a = Atomic.set a 2\n\
+       let h a = (Atomic.set a 3 : unit) [@ffault.lint.allow \"raw-atomic\", \"third\"]\n"
   in
   check Alcotest.int "second still fires" 1 (count_rule "raw-atomic" o);
-  check Alcotest.int "first suppressed" 1 (List.length o.Driver.suppressed);
+  (* the third's attribute sits on a type constraint, which the
+     typedtree keeps as an [exp_extra] of the inner expression *)
+  check Alcotest.int "first and third suppressed" 2 (List.length o.Driver.suppressed);
   let f = List.hd o.Driver.findings in
   check Alcotest.int "surviving one is line 2" 2 f.Finding.line
 
@@ -274,7 +309,7 @@ let test_suppress_unknown_rule () =
 let test_suppress_meta_rule_rejected () =
   let o =
     lint ~file:"lib/consensus/fixture.ml"
-      "[@@@ffault.lint.allow \"parse-error\", \"never\"]\nlet x = 1\n"
+      "[@@@ffault.lint.allow \"cmt-missing\", \"never\"]\nlet x = 1\n"
   in
   check Alcotest.int "meta rules not suppressible" 1 (count_rule "suppression" o)
 
@@ -312,13 +347,32 @@ let test_policy_scoping () =
 
 (* ---- rules filter ---- *)
 
+(* A source file under [root] plus the fresh cmt a build would leave for
+   it, in dune's layout under [root]/bld. *)
+let write_typed ~root rel src =
+  let path = Filename.concat root rel in
+  write_file path src;
+  let structure, env = typecheck ~file:path src in
+  let unit = String.capitalize_ascii (Filename.remove_extension (Filename.basename rel)) in
+  let cmt =
+    List.fold_left Filename.concat root
+      [ "bld"; Filename.dirname rel; ".t.objs"; "byte"; "t__" ^ unit ^ ".cmt" ]
+  in
+  Ffault_campaign.Checkpoint.mkdir_p (Filename.dirname cmt);
+  Clflags.binary_annotations := true;
+  Cmt_format.save_cmt cmt unit (Cmt_format.Implementation structure) (Some path) env None
+    None
+
 let test_rules_filter () =
   let root = tmp_root () in
-  write_file
-    (Filename.concat root "lib/fault/mixed.ml")
+  write_typed ~root "lib/fault/mixed.ml"
     "let f x = Obj.magic x\nlet g () = print_endline \"hi\"\n";
   write_file (Filename.concat root "lib/fault/mixed.mli") "val f : 'a -> 'b\nval g : unit -> unit\n";
-  let r = Driver.run ~rules:[ "obj-magic" ] ~policy:Policy.default [ root ] in
+  let r =
+    Driver.run ~rules:[ "obj-magic" ] ~policy:Policy.default
+      ~build_dir:(Filename.concat root "bld") [ root ]
+  in
+  check Alcotest.int "the file was linted" 1 r.Driver.typed_files;
   let rules = List.map (fun (f : Finding.t) -> f.Finding.rule) r.Driver.findings in
   check Alcotest.bool "only obj-magic" true (List.for_all (( = ) "obj-magic") rules);
   check Alcotest.int "one finding" 1 (List.length rules)
@@ -456,8 +510,7 @@ let report_fixture () =
   let fresh = finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:3 in
   let based = finding ~rule:"catch-all" ~file:"lib/b.ml" ~line:7 in
   let result =
-    { Driver.files = 2; typed_files = 0; findings = [ fresh; based ];
-      suppressed = []; notes = [] }
+    { Driver.files = 2; typed_files = 0; findings = [ fresh; based ]; suppressed = [] }
   in
   Report.make ~baseline:(Baseline.of_findings [ based ]) result
 
@@ -466,7 +519,7 @@ let test_report_exit_codes () =
   check Alcotest.int "fresh finding fails" 1 (Report.exit_code r);
   let clean =
     Report.make
-      { Driver.files = 1; typed_files = 0; findings = []; suppressed = []; notes = [] }
+      { Driver.files = 1; typed_files = 0; findings = []; suppressed = [] }
   in
   check Alcotest.int "clean passes" 0 (Report.exit_code clean);
   let all_baselined =
@@ -474,7 +527,7 @@ let test_report_exit_codes () =
       ~baseline:(Baseline.of_findings [ finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:3 ])
       { Driver.files = 1; typed_files = 0;
         findings = [ finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:3 ];
-        suppressed = []; notes = [] }
+        suppressed = [] }
   in
   check Alcotest.int "baselined does not fail" 0 (Report.exit_code all_baselined)
 
@@ -484,15 +537,11 @@ let test_report_text () =
     (contains ~sub:"lib/a.ml:3:0: error obj-magic" text);
   check Alcotest.bool "baselined tagged" true (contains ~sub:"[baselined]" text);
   check Alcotest.bool "summary line" true (contains ~sub:"2 files checked" text);
-  let with_notes =
-    Report.make
-      { Driver.files = 3; typed_files = 2; findings = []; suppressed = [];
-        notes = [ ("lib/x.ml", "cmt stale; typed rules skipped") ] }
+  let typed =
+    Report.make { Driver.files = 3; typed_files = 2; findings = []; suppressed = [] }
   in
-  let text = Report.to_text with_notes in
-  check Alcotest.bool "typed count in summary" true (contains ~sub:"(2 typed)" text);
-  check Alcotest.bool "note rendered" true
-    (contains ~sub:"lib/x.ml:1: note: cmt stale" text)
+  check Alcotest.bool "typed count in summary" true
+    (contains ~sub:"(2 typed)" (Report.to_text typed))
 
 let test_report_json () =
   let json = Report.to_json (report_fixture ()) in
@@ -508,9 +557,7 @@ let test_report_json () =
         (fun key ->
           check Alcotest.bool (Fmt.str "finding has %s" key) true
             (Json.member key f <> None))
-        [ "rule"; "layer"; "severity"; "file"; "line"; "col"; "message"; "baselined" ];
-      check Alcotest.string "findings carry their layer" "ast"
-        (Option.get (Option.bind (Json.member "layer" f) Json.get_str));
+        [ "rule"; "severity"; "file"; "line"; "col"; "message"; "baselined" ];
       check Alcotest.bool "typed object present" true (Json.member "typed" j <> None);
       let summary = Option.get (Json.member "summary" j) in
       check Alcotest.int "summary.fresh" 1
@@ -522,14 +569,14 @@ let test_report_json () =
 (* ---- the lint on this repo's own invariants ---- *)
 
 let test_rule_registry () =
-  check Alcotest.int "eleven substantive rules" 11 (List.length Lint.Rule.substantive);
+  check Alcotest.int "ten substantive rules" 10 (List.length Lint.Rule.substantive);
   List.iter
     (fun name ->
       check Alcotest.bool (Fmt.str "%s registered" name) true (Lint.Rule.find name <> None))
     [ "raw-atomic"; "nondeterminism"; "toplevel-mutable"; "io-in-lib"; "catch-all";
       "mli-required"; "obj-magic"; "effect-discipline"; "poly-compare-abstract";
-      "alias-escape"; "domain-unsafe-capture" ];
-  check Alcotest.bool "parse-error is meta" true (Lint.Rule.is_meta "parse-error");
+      "domain-unsafe-capture" ];
+  check Alcotest.bool "suppression is meta" true (Lint.Rule.is_meta "suppression");
   check Alcotest.bool "cmt-missing is meta" true (Lint.Rule.is_meta "cmt-missing");
   check Alcotest.bool "raw-atomic is not" false (Lint.Rule.is_meta "raw-atomic")
 
@@ -541,34 +588,28 @@ let test_rule_metadata () =
         (String.length r.Lint.Rule.rationale > 0);
       check Alcotest.bool (Fmt.str "%s has an example" r.Lint.Rule.name) true
         (String.length r.Lint.Rule.example > 0))
-    Lint.Rule.all;
-  check Alcotest.string "poly-compare is typed-layer" "typed"
-    (Lint.Rule.layer_to_string (Lint.Rule.layer "poly-compare-abstract"));
-  check Alcotest.string "mli-required is fs-layer" "fs"
-    (Lint.Rule.layer_to_string (Lint.Rule.layer "mli-required"));
-  check Alcotest.string "raw-atomic is ast-layer" "ast"
-    (Lint.Rule.layer_to_string (Lint.Rule.layer "raw-atomic"))
+    Lint.Rule.all
 
-(* ---- typed pass: the planted-evasion fixture corpus ----
+(* ---- the planted-evasion fixture corpus ----
 
    test/lint_fixtures is compiled as a library the test binary depends
    on, so dune guarantees fresh cmts under the test cwd
-   (_build/default/test). Each test asserts BOTH halves of the claim:
-   the parsetree pass misses the planted construct, the typed pass
-   catches it. Fixture paths are remapped into lib/ because the typed
-   rules' policy scoping keys on the reported file. *)
+   (_build/default/test). Each evasion hides its identifier behind an
+   alias, an open or eta-reduction, and must still be reported under the
+   underlying rule at its exact position. Fixture paths are remapped
+   into lib/ because policy scoping keys on the reported file. *)
 
 module Cmt_loader = Lint.Cmt_loader
 module Typed_rules = Lint.Typed_rules
 
 let fixture_src name = "lint_fixtures/" ^ name ^ ".ml"
 
-let fixture_cmt name =
+let fixture_structure name =
   match Cmt_loader.create ~build_dir:"." () with
   | None -> Alcotest.fail "no built tree next to the test binary"
   | Some l -> (
       match Cmt_loader.for_source l (fixture_src name) with
-      | Cmt_loader.Typed cmt -> cmt
+      | Cmt_loader.Typed structure -> structure
       | status ->
           Alcotest.fail
             (Option.value
@@ -578,55 +619,45 @@ let fixture_cmt name =
 let read_fixture name =
   In_channel.with_open_text (fixture_src name) In_channel.input_all
 
-let typed_findings ~file name = Typed_rules.check ~file (fixture_cmt name)
+let typed_findings ~file name = Typed_rules.check ~file (fixture_structure name)
+
+let lint_fixture ~file name =
+  Driver.lint_structure ~policy:Policy.default ~file (fixture_structure name)
 
 let count_typed rule fs =
   List.length (List.filter (fun (f : Finding.t) -> f.Finding.rule = rule) fs)
 
-(* the parsetree pass, run over the fixture's own source under a fake
-   lib path, must report nothing for [rules] — that is what makes the
-   fixture an *evasion* *)
-let assert_parsetree_misses ~fake ~rules name =
-  let o = lint ~file:fake (read_fixture name) in
-  List.iter
-    (fun r ->
-      check Alcotest.int (Fmt.str "%s: parsetree misses %s" name r) 0 (count_rule r o))
-    rules
+(* exactly these (rule, line, col) findings, in source order *)
+let check_positions what expected (o : Driver.outcome) =
+  check
+    Alcotest.(list (triple string int int))
+    what expected
+    (List.map
+       (fun (f : Finding.t) -> (f.Finding.rule, f.Finding.line, f.Finding.col))
+       o.Driver.findings)
 
 let test_evasion_alias () =
-  assert_parsetree_misses ~fake:"lib/consensus/evade_alias.ml"
-    ~rules:[ "raw-atomic"; "alias-escape" ] "evade_alias";
-  let fs = typed_findings ~file:"lib/consensus/evade_alias.ml" "evade_alias" in
-  check Alcotest.int "typed catches the aliased Atomic.set" 1
-    (count_typed "alias-escape" fs);
-  let f = List.hd fs in
+  let o = lint_fixture ~file:"lib/consensus/evade_alias.ml" "evade_alias" in
+  check_positions "the aliased A.set is raw-atomic" [ ("raw-atomic", 8, 31) ] o;
   check Alcotest.bool "message names the resolved identity" true
-    (contains ~sub:"Atomic.set" f.Finding.message);
-  check Alcotest.bool "message names the surface syntax" true
-    (contains ~sub:"A.set" f.Finding.message)
+    (contains ~sub:"raw Atomic.set" (List.hd o.Driver.findings).Finding.message)
 
 let test_evasion_open () =
-  assert_parsetree_misses ~fake:"lib/sim/evade_open.ml"
-    ~rules:[ "nondeterminism"; "alias-escape" ] "evade_open";
-  let fs = typed_findings ~file:"lib/sim/evade_open.ml" "evade_open" in
-  check Alcotest.int "typed catches the bare Random.int" 1
-    (count_typed "alias-escape" fs);
-  (* the underlying rule's policy still applies: nondeterminism is not
-     active outside the deterministic dirs, so neither is its escape *)
-  let fs = typed_findings ~file:"lib/campaign/evade_open.ml" "evade_open" in
-  check Alcotest.int "out of the underlying rule's scope" 0
-    (count_typed "alias-escape" fs)
+  let o = lint_fixture ~file:"lib/sim/evade_open.ml" "evade_open" in
+  check_positions "the bare int under open Random" [ ("nondeterminism", 7, 14) ] o;
+  check Alcotest.bool "message names the resolved identity" true
+    (contains ~sub:"Random.int draws" (List.hd o.Driver.findings).Finding.message);
+  (* nondeterminism is not active outside the deterministic dirs *)
+  let o = lint_fixture ~file:"lib/campaign/evade_open.ml" "evade_open" in
+  check_positions "out of the rule's scope" [] o
 
 let test_evasion_eta () =
-  assert_parsetree_misses ~fake:"lib/consensus/evade_eta.ml"
-    ~rules:[ "raw-atomic"; "alias-escape" ] "evade_eta";
-  let fs = typed_findings ~file:"lib/consensus/evade_eta.ml" "evade_eta" in
-  check Alcotest.int "eta-reduced + partial application both caught" 2
-    (count_typed "alias-escape" fs)
+  let o = lint_fixture ~file:"lib/consensus/evade_eta.ml" "evade_eta" in
+  check_positions "eta-reduced + partial application both caught"
+    [ ("raw-atomic", 8, 41); ("raw-atomic", 9, 28) ]
+    o
 
 let test_poly_compare_fixture () =
-  assert_parsetree_misses ~fake:"lib/hoare/poly_compare.ml"
-    ~rules:[ "poly-compare-abstract" ] "poly_compare";
   let fs = typed_findings ~file:"lib/hoare/poly_compare.ml" "poly_compare" in
   (* direct =, aliased compare, = at Value.t list, List.mem,
      Hashtbl.hash, = at Op.t — and NOT the int-typed negative control *)
@@ -675,12 +706,17 @@ let test_named_closure_fixture () =
     (List.exists (fun (f : Finding.t) -> contains ~sub:"counter" f.Finding.message) hits)
 
 let test_typed_findings_suppressible () =
-  (* typed findings merge before suppression, so the existing
-     [@@@ffault.lint.allow] machinery covers them unchanged *)
-  let src = "[@@@ffault.lint.allow \"alias-escape\", \"audited escape\"]\nlet x = 1\n" in
-  let typed = [ finding ~rule:"alias-escape" ~file:"lib/sim/a.ml" ~line:2 ] in
-  let o = Driver.lint_impl_source ~policy:Policy.default ~typed ~file:"lib/sim/a.ml" src in
-  check Alcotest.int "typed finding suppressed" 0 (count_rule "alias-escape" o);
+  (* a type-aware finding goes through the same [@@@ffault.lint.allow]
+     machinery as every other rule *)
+  let src =
+    "[@@@ffault.lint.allow \"domain-unsafe-capture\", \"audited race\"]\n\
+     let f () =\n\
+     \  let c = ref 0 in\n\
+     \  Domain.join (Domain.spawn (fun () -> incr c));\n\
+     \  !c\n"
+  in
+  let o = lint ~file:"lib/campaign/a.ml" src in
+  check Alcotest.int "finding suppressed" 0 (count_rule "domain-unsafe-capture" o);
   check Alcotest.int "suppression recorded" 1 (List.length o.Driver.suppressed)
 
 (* ---- cmt loader: freshness and graceful degradation ---- *)
@@ -722,38 +758,32 @@ let test_cmt_loader_fresh_then_stale () =
       check Alcotest.bool "says the source changed" true (contains ~sub:"source changed" m)
   | _ -> Alcotest.fail "expected Stale"
 
-let test_cmt_stale_degrades_to_note () =
+let test_cmt_stale_is_missing () =
   let root, src, bld = staleness_root () in
   write_file src (read_fixture "evade_alias" ^ "\nlet edited_after_build = ()\n");
-  (* auto: a per-file note, never a failure, and no typed findings from
-     the stale tree *)
-  let r = Driver.run ~policy:Policy.default ~typed:Driver.Typed_auto ~build_dir:bld [ root ] in
-  check Alcotest.int "no typed findings from a stale cmt" 0
-    (List.length
-       (List.filter (fun (f : Finding.t) -> f.Finding.rule = "alias-escape") r.Driver.findings));
-  check Alcotest.int "no cmt-missing under auto" 0
-    (List.length
-       (List.filter (fun (f : Finding.t) -> f.Finding.rule = "cmt-missing") r.Driver.findings));
-  (match r.Driver.notes with
-  | [ (file, msg) ] ->
-      check Alcotest.bool "note names the file" true (contains ~sub:"evade_alias.ml" file);
-      check Alcotest.bool "note says why" true (contains ~sub:"source changed" msg)
-  | notes -> Alcotest.fail (Fmt.str "expected one note, got %d" (List.length notes)));
-  (* on: the same degradation is a finding — CI fails loudly *)
-  let r = Driver.run ~policy:Policy.default ~typed:Driver.Typed_on ~build_dir:bld [ root ] in
-  check Alcotest.int "cmt-missing under on" 1
-    (List.length
-       (List.filter (fun (f : Finding.t) -> f.Finding.rule = "cmt-missing") r.Driver.findings))
+  (* a stale cmt yields no findings from the old tree, only the
+     cmt-missing error — CI fails loudly *)
+  let r = Driver.run ~policy:Policy.default ~build_dir:bld [ root ] in
+  check Alcotest.int "nothing linted" 0 r.Driver.typed_files;
+  match r.Driver.findings with
+  | [ f ] ->
+      check Alcotest.string "rule" "cmt-missing" f.Finding.rule;
+      check Alcotest.bool "names the file" true (contains ~sub:"evade_alias.ml" f.Finding.file);
+      check Alcotest.bool "says why" true (contains ~sub:"source changed" f.Finding.message)
+  | fs -> Alcotest.fail (Fmt.str "expected one finding, got %d" (List.length fs))
 
 let test_cmt_fresh_via_driver () =
-  (* with an untouched source the driver runs the typed rules off the
-     copied cmt and surfaces the planted escape *)
+  (* with an untouched source the driver lints the copied cmt and
+     surfaces the planted escape under its rule *)
   let root, _, bld = staleness_root () in
-  let r = Driver.run ~policy:Policy.default ~typed:Driver.Typed_auto ~build_dir:bld [ root ] in
-  check Alcotest.int "typed pass covered the file" 1 r.Driver.typed_files;
-  check Alcotest.int "planted escape surfaced" 1
-    (List.length
-       (List.filter (fun (f : Finding.t) -> f.Finding.rule = "alias-escape") r.Driver.findings))
+  let r = Driver.run ~policy:Policy.default ~build_dir:bld [ root ] in
+  check Alcotest.int "the file was linted" 1 r.Driver.typed_files;
+  check
+    Alcotest.(list (triple string int int))
+    "planted escape surfaced" [ ("raw-atomic", 8, 31) ]
+    (List.map
+       (fun (f : Finding.t) -> (f.Finding.rule, f.Finding.line, f.Finding.col))
+       r.Driver.findings)
 
 (* ---- baseline prune ---- *)
 
@@ -792,7 +822,6 @@ let suites =
         Alcotest.test_case "obj-magic fires" `Quick test_obj_magic_fires;
         Alcotest.test_case "obj-magic spared" `Quick test_obj_magic_spared;
         Alcotest.test_case "mli-required" `Quick test_mli_required;
-        Alcotest.test_case "parse-error" `Quick test_parse_error;
         Alcotest.test_case "registry" `Quick test_rule_registry;
         Alcotest.test_case "rule metadata" `Quick test_rule_metadata;
       ] );
@@ -807,7 +836,7 @@ let suites =
         Alcotest.test_case "typed findings suppressible" `Quick
           test_typed_findings_suppressible;
         Alcotest.test_case "loader fresh then stale" `Quick test_cmt_loader_fresh_then_stale;
-        Alcotest.test_case "stale degrades to note" `Quick test_cmt_stale_degrades_to_note;
+        Alcotest.test_case "stale cmt is cmt-missing" `Quick test_cmt_stale_is_missing;
         Alcotest.test_case "fresh cmt via driver" `Quick test_cmt_fresh_via_driver;
       ] );
     ( "lint.suppress",
